@@ -118,8 +118,11 @@ int main(int argc, char** argv) {
       const space::Architecture& arch = pool[zipf.sample(rng)];
       if (service.predict(arch) != predictor->predict(arch)) ++mismatches;
     }
+    // Smoke runs still send 8000 requests: at 250 per client both
+    // closed loops lasted ~5 ms, so one scheduler stall under a parallel
+    // ctest could halve the parity ratio below on its own.
     const serve::LoadResult load = serve::run_closed_loop(
-        service, pool, zipf, 8, smoke ? 250 : 2000, /*seed=*/31);
+        service, pool, zipf, 8, smoke ? 1000 : 2000, /*seed=*/31);
     plain_qps = load.qps();
     gates.push_back({"identity (resilience off)", mismatches == 0,
                      std::to_string(checks - mismatches) + "/" +
@@ -155,7 +158,7 @@ int main(int argc, char** argv) {
   {
     serve::PredictionService service(*predictor, armed_config(false));
     const serve::ResilientLoadResult load = serve::run_resilient_closed_loop(
-        service, pool, zipf, 8, smoke ? 250 : 2000, /*seed=*/31, 1000ms);
+        service, pool, zipf, 8, smoke ? 1000 : 2000, /*seed=*/31, 1000ms);
     const double parity = plain_qps > 0.0 ? load.qps() / plain_qps : 0.0;
     char detail[128];
     std::snprintf(detail, sizeof(detail),

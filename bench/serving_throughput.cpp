@@ -14,8 +14,15 @@
 // baseline on the same Zipf workload (acceptance floor: >= 5x), with
 // cache hit rate, p50/p99 latency, and mean batch size reported per
 // configuration.
+//
+// A second gate keeps the baseline honest: the trained predictor's
+// predict_batch(32) must run within 1.5x of a freshly initialized
+// predictor of the same shape. Subnormal weights left by training once
+// made it ~25x slower at full scale, which inflated every speedup
+// measured against the sequential baseline.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -26,6 +33,31 @@
 #include "util/table.hpp"
 
 using namespace lightnas;
+
+namespace {
+
+/// Median wall time of one predict_batch call over `batch`, in us.
+double time_predict_batch(const predictors::MlpPredictor& predictor,
+                          const std::vector<space::Architecture>& batch) {
+  constexpr int kRounds = 41;
+  constexpr int kCallsPerRound = 25;
+  for (int i = 0; i < kCallsPerRound; ++i) {
+    predictor.predict_batch(batch);  // warm-up
+  }
+  std::vector<double> per_call_us;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kCallsPerRound; ++i) predictor.predict_batch(batch);
+    const std::chrono::duration<double, std::micro> dt =
+        std::chrono::steady_clock::now() - t0;
+    per_call_us.push_back(dt.count() / kCallsPerRound);
+  }
+  std::nth_element(per_call_us.begin(),
+                   per_call_us.begin() + kRounds / 2, per_call_us.end());
+  return per_call_us[kRounds / 2];
+}
+
+}  // namespace
 
 int main() {
   bench::banner("serving_throughput",
@@ -45,6 +77,26 @@ int main() {
 
   std::printf("pool=%zu architectures, zipf s=1.1, %zu requests\n\n",
               pool.size(), requests);
+
+  // Same shape, fresh initialization, marked trained so it serves.
+  predictors::MlpPredictor::State fresh_state =
+      predictors::MlpPredictor(pipeline.space.num_layers(),
+                               pipeline.space.num_ops(), 3)
+          .export_state();
+  fresh_state.trained = true;
+  const predictors::MlpPredictor fresh =
+      predictors::MlpPredictor::from_state(fresh_state);
+  const std::vector<space::Architecture> batch(pool.begin(),
+                                               pool.begin() + 32);
+  const double trained_us = time_predict_batch(*predictor, batch);
+  const double fresh_us = time_predict_batch(fresh, batch);
+  const double ratio = trained_us / fresh_us;
+  constexpr double kRatioMax = 1.5;
+  const bool ratio_pass = ratio <= kRatioMax;
+  std::printf("predict_batch(32): trained %.1f us, fresh %.1f us -> "
+              "%.2fx (max %.1fx) %s\n\n",
+              trained_us, fresh_us, ratio, kRatioMax,
+              ratio_pass ? "OK" : "TOO SLOW");
 
   const serve::LoadResult baseline = serve::run_sequential_baseline(
       *predictor, pool, zipf, requests, seed);
@@ -109,8 +161,13 @@ int main() {
   out.set("best_speedup", io::Json(best_speedup));
   out.set("speedup_floor", io::Json(5.0));
   out.set("pass", io::Json(pass));
+  out.set("predict_batch_us_trained", io::Json(trained_us));
+  out.set("predict_batch_us_fresh", io::Json(fresh_us));
+  out.set("predict_batch_ratio", io::Json(ratio));
+  out.set("predict_batch_ratio_max", io::Json(kRatioMax));
+  out.set("predict_batch_ratio_pass", io::Json(ratio_pass));
   bench::update_bench_json("BENCH_serve.json", "throughput", out);
   std::printf("updated BENCH_serve.json (section: throughput)\n");
 
-  return pass ? 0 : 1;
+  return pass && ratio_pass ? 0 : 1;
 }

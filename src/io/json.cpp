@@ -380,7 +380,12 @@ std::vector<float> Json::to_floats() const {
   std::vector<float> out;
   out.reserve(as_array().size());
   for (const Json& v : as_array()) {
-    out.push_back(static_cast<float>(v.number_or_nan()));
+    // A double beyond float range would make the cast UB; it reads as
+    // +-inf instead, which loaders then reject as non-finite.
+    const double d = v.number_or_nan();
+    const double max = std::numeric_limits<float>::max();
+    const float inf = std::numeric_limits<float>::infinity();
+    out.push_back(d > max ? inf : d < -max ? -inf : static_cast<float>(d));
   }
   return out;
 }

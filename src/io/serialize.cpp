@@ -1,5 +1,6 @@
 #include "io/serialize.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -9,7 +10,24 @@ namespace lightnas::io {
 namespace detail {
 
 namespace {
+
 constexpr int kFormatVersion = 1;
+
+/// A non-negative integral JSON number no larger than 2^32 - 1, as a
+/// size; throws std::runtime_error naming `what` otherwise.
+std::size_t size_from_json(const Json& json, const std::string& what) {
+  if (json.type() != Json::Type::kNumber) {
+    throw std::runtime_error(what + " is not a number");
+  }
+  // Rejects NaN, negatives, fractions and magnitudes a size_t cast
+  // would wrap or a shape product would overflow.
+  const double v = json.as_number();
+  if (!(v >= 0.0 && v <= 4294967295.0 && v == std::floor(v))) {
+    throw std::runtime_error(what + " is not a valid size");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 }  // namespace
 
 int format_version() { return kFormatVersion; }
@@ -46,8 +64,8 @@ Json tensor_to_json(const nn::Tensor& t) {
 }
 
 nn::Tensor tensor_from_json(const Json& json) {
-  const auto rows = static_cast<std::size_t>(json.at("rows").as_number());
-  const auto cols = static_cast<std::size_t>(json.at("cols").as_number());
+  const std::size_t rows = size_from_json(json.at("rows"), "tensor rows");
+  const std::size_t cols = size_from_json(json.at("cols"), "tensor cols");
   const std::vector<float> data = json.at("data").to_floats();
   if (data.size() != rows * cols) {
     throw std::runtime_error("tensor data does not match its shape");
@@ -267,19 +285,19 @@ Json predictor_to_json(const predictors::MlpPredictor& predictor) {
 predictors::MlpPredictor predictor_from_json(const Json& json) {
   check_header(json, "lightnas.predictor.mlp");
   predictors::MlpPredictor::State state;
-  state.num_layers =
-      static_cast<std::size_t>(json.at("num_layers").as_number());
-  state.num_ops = static_cast<std::size_t>(json.at("num_ops").as_number());
+  state.num_layers = size_from_json(json.at("num_layers"), "num_layers");
+  state.num_ops = size_from_json(json.at("num_ops"), "num_ops");
   state.unit = json.at("unit").as_string();
-  state.target_mean = json.at("target_mean").as_number();
-  state.target_std = json.at("target_std").as_number();
+  // Non-finite doubles serialize as null; from_state rejects the NaN.
+  state.target_mean = json.at("target_mean").number_or_nan();
+  state.target_std = json.at("target_std").number_or_nan();
   state.trained = json.at("trained").as_bool();
   for (const Json& tensor : json.at("tensors").as_array()) {
-    state.shapes.emplace_back(
-        static_cast<std::size_t>(tensor.at("rows").as_number()),
-        static_cast<std::size_t>(tensor.at("cols").as_number()));
+    state.shapes.emplace_back(size_from_json(tensor.at("rows"), "rows"),
+                              size_from_json(tensor.at("cols"), "cols"));
     state.tensors.push_back(tensor.at("data").to_floats());
   }
+  // from_state checks the header against the tensors before allocating.
   return predictors::MlpPredictor::from_state(state);
 }
 

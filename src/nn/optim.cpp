@@ -257,13 +257,21 @@ void Adam::step() {
       if (weight_decay_ != 0.0) {
         g += weight_decay_ * static_cast<double>(p.value[j]);
       }
-      m_[i][j] = static_cast<float>(beta1_ * m_[i][j] + (1.0 - beta1_) * g);
-      v_[i][j] =
-          static_cast<float>(beta2_ * v_[i][j] + (1.0 - beta2_) * g * g);
+      // Weights and moments that decay toward zero (dead units under
+      // weight decay) reach exactly zero instead of the slow subnormal
+      // range; see flush_below for the two floors.
+      m_[i][j] = flush_below(
+          static_cast<float>(beta1_ * m_[i][j] + (1.0 - beta1_) * g),
+          kMinNormal);
+      v_[i][j] = flush_below(
+          static_cast<float>(beta2_ * v_[i][j] + (1.0 - beta2_) * g * g),
+          kMinNormal);
       const double mhat = m_[i][j] / bc1;
       const double vhat = v_[i][j] / bc2;
-      p.value[j] -=
-          static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
+      p.value[j] = flush_below(
+          p.value[j] -
+              static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_)),
+          kMinWeight);
     }
   }
 }

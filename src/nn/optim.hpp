@@ -87,7 +87,10 @@ class Sgd {
 };
 
 /// Adam (the paper's optimizer for architecture parameters alpha:
-/// lr 1e-3, wd 1e-3).
+/// lr 1e-3, wd 1e-3). Every step flushes the moments below FLT_MIN and
+/// the parameters below kMinWeight (flush_below, tensor.hpp), so weight
+/// decay drives an unused weight and its moments to exactly +0.0f
+/// instead of into the subnormal range.
 class Adam {
  public:
   /// Serializable optimizer state (checkpoint support).

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -119,6 +121,42 @@ class Tensor {
   std::size_t cols_ = 0;
   AlignedVector data_;
 };
+
+/// Returns +0.0f when |x| < `min_magnitude`, and x unchanged otherwise
+/// (NaN and Inf included); `min_magnitude` is a positive float. The
+/// magnitudes are compared as integers (for non-negative floats the bit
+/// patterns order like the values), so the helper compiles without a
+/// branch inside element loops.
+///
+/// Weight decay pulls unused weights (those of dead ReLU units) toward
+/// zero, and on x86 every kernel that reads a subnormal operand, or
+/// whose product underflows, takes a microcode assist: a trained
+/// predictor once served several times slower than a fresh one. The
+/// flush runs where weights are written (Adam::step,
+/// MlpPredictor::from_state) instead of through a process-wide MXCSR
+/// FTZ/DAZ mode, which would change the arithmetic of everything else
+/// in the host process.
+inline float flush_below(float x, float min_magnitude) {
+  const auto bits = std::bit_cast<std::uint32_t>(x);
+  const std::uint32_t keep =
+      0u - static_cast<std::uint32_t>((bits & 0x7fffffffu) >=
+                                      std::bit_cast<std::uint32_t>(
+                                          min_magnitude));
+  return std::bit_cast<float>(bits & keep);
+}
+
+/// FLT_MIN = 2^-126, the smallest normal float: flushing below it
+/// removes the subnormals (and turns -0.0f into +0.0f).
+inline constexpr float kMinNormal = 0x1p-126f;
+
+/// 2^-63 = sqrt(FLT_MIN), the floor for weights. A product of two
+/// values at least this large cannot underflow, and a weight this small
+/// cannot change a float sum of any magnitude that matters. Flushing
+/// weights only below FLT_MIN is not enough: once Adam's first moment
+/// (about weight_decay * w) drops under FLT_MIN and is flushed, the
+/// weight stops moving and stays just above FLT_MIN / weight_decay
+/// forever, where its products with other such weights still underflow.
+inline constexpr float kMinWeight = 0x1p-63f;
 
 /// Cache-blocked, register-blocked GEMM kernels with full IEEE
 /// NaN/Inf propagation (no zero-operand skips). The one-argument-pair

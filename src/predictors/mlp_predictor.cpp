@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/ops.hpp"
@@ -15,14 +16,21 @@
 
 namespace lightnas::predictors {
 
+namespace {
+
+// The paper's predictor: three fully connected layers, 128-64-1.
+std::vector<std::size_t> layer_sizes(std::size_t input_dim) {
+  return {input_dim, 128, 64, 1};
+}
+
+}  // namespace
+
 MlpPredictor::MlpPredictor(std::size_t num_layers, std::size_t num_ops,
                            std::uint64_t seed, std::string unit)
     : num_layers_(num_layers), num_ops_(num_ops), unit_(std::move(unit)) {
   util::Rng rng(seed);
-  // The paper's predictor: three fully connected layers, 128-64-1.
-  mlp_ = std::make_unique<nn::Mlp>(
-      std::vector<std::size_t>{input_dim(), 128, 64, 1}, rng,
-      "latency_mlp");
+  mlp_ = std::make_unique<nn::Mlp>(layer_sizes(input_dim()), rng,
+                                   "latency_mlp");
 }
 
 double MlpPredictor::train(const MeasurementDataset& data,
@@ -166,10 +174,18 @@ MlpPredictor::State MlpPredictor::export_state() const {
 }
 
 MlpPredictor MlpPredictor::from_state(const State& state) {
-  MlpPredictor predictor(state.num_layers, state.num_ops, /*seed=*/0,
-                         state.unit);
-  const std::vector<nn::VarPtr> params = predictor.mlp_->parameters();
-  if (params.size() != state.tensors.size()) {
+  // The whole blob is checked before the model is built: the header's
+  // dimensions must agree with the tensors it carries, so a hostile
+  // num_layers/num_ops cannot make the constructor allocate more than
+  // the blob itself holds.
+  if (state.num_layers == 0 || state.num_ops == 0 ||
+      state.num_layers > std::numeric_limits<std::size_t>::max() /
+                             state.num_ops) {
+    throw std::runtime_error("predictor state: invalid num_layers/num_ops");
+  }
+  const std::vector<std::size_t> sizes =
+      layer_sizes(state.num_layers * state.num_ops);
+  if (state.tensors.size() != 2 * (sizes.size() - 1)) {
     throw std::runtime_error("predictor state: wrong tensor count");
   }
   // shapes is parallel to tensors; a blob with fewer shape entries than
@@ -178,14 +194,38 @@ MlpPredictor MlpPredictor::from_state(const State& state) {
     throw std::runtime_error(
         "predictor state: shape/tensor count mismatch");
   }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i]->value.rows() != state.shapes[i].first ||
-        params[i]->value.cols() != state.shapes[i].second ||
-        params[i]->value.size() != state.tensors[i].size()) {
+  for (std::size_t i = 0; i < state.tensors.size(); ++i) {
+    // nn::Mlp::parameters() order: weight (in x out), then bias (1 x out).
+    const std::size_t layer = i / 2;
+    const std::size_t rows = i % 2 == 0 ? sizes[layer] : 1;
+    const std::size_t cols = sizes[layer + 1];
+    if (state.shapes[i] != std::make_pair(rows, cols) ||
+        rows > std::numeric_limits<std::size_t>::max() / cols ||
+        state.tensors[i].size() != rows * cols) {
       throw std::runtime_error("predictor state: shape mismatch");
     }
-    params[i]->value.data().assign(state.tensors[i].begin(),
-                                   state.tensors[i].end());
+    for (const float w : state.tensors[i]) {
+      if (!std::isfinite(w)) {
+        throw std::runtime_error("predictor state: non-finite weight");
+      }
+    }
+  }
+  if (!std::isfinite(state.target_mean) ||
+      !std::isfinite(state.target_std) || !(state.target_std > 0.0)) {
+    throw std::runtime_error(
+        "predictor state: target_mean must be finite and target_std > 0");
+  }
+
+  MlpPredictor predictor(state.num_layers, state.num_ops, /*seed=*/0,
+                         state.unit);
+  const std::vector<nn::VarPtr> params = predictor.mlp_->parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    // Artifacts written before Adam flushed decayed weights still carry
+    // subnormal ones; they load clean.
+    std::transform(state.tensors[i].begin(), state.tensors[i].end(),
+                   params[i]->value.data().begin(), [](float w) {
+                     return nn::flush_below(w, nn::kMinWeight);
+                   });
   }
   predictor.target_mean_ = state.target_mean;
   predictor.target_std_ = state.target_std;

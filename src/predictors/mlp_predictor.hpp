@@ -100,7 +100,11 @@ class MlpPredictor : public HardwarePredictor {
   };
 
   State export_state() const;
-  /// Reconstruct a predictor from a snapshot (shape-checked).
+  /// Reconstruct a predictor from a snapshot. Throws std::runtime_error
+  /// unless num_layers/num_ops are nonzero and agree with every tensor's
+  /// shape and size, every weight is finite, target_mean is finite and
+  /// target_std is finite and > 0. Weights below nn::kMinWeight in
+  /// magnitude (subnormals included) load as +0.0f.
   static MlpPredictor from_state(const State& state);
 
  private:

@@ -125,6 +125,74 @@ TEST_F(SerializeTest, PredictorWrongKindRejected) {
   EXPECT_THROW(load_predictor(path("bogus.json")), std::runtime_error);
 }
 
+// Every hostile predictor artifact is a typed std::runtime_error: no UB
+// size_t cast of a negative, NaN or huge dimension, no allocation sized
+// by a header the tensors do not back, no non-finite value accepted.
+TEST_F(SerializeTest, PredictorLoaderRejectsHostileArtifacts) {
+  const predictors::MlpPredictor predictor(space_.num_layers(),
+                                           space_.num_ops());
+  const Json good = predictor_to_json(predictor);
+  ASSERT_NO_THROW(predictor_from_json(good));
+
+  // Json has no mutable accessors; rebuild the document with one
+  // top-level key (or one tensor field) replaced.
+  const auto with = [&](const std::string& key, Json value) {
+    Json out = Json::object();
+    for (const auto& [k, v] : good.as_object()) out.set(k, v);
+    out.set(key, std::move(value));
+    return out;
+  };
+  const auto with_tensor = [&](const std::string& key, Json value) {
+    Json tensors = Json::array();
+    const std::vector<Json>& all = good.at("tensors").as_array();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (i != 0) {
+        tensors.push_back(all[i]);
+        continue;
+      }
+      Json first = Json::object();
+      for (const auto& [k, v] : all[0].as_object()) first.set(k, v);
+      first.set(key, value);
+      tensors.push_back(std::move(first));
+    }
+    return with("tensors", std::move(tensors));
+  };
+  const auto rejects = [](const Json& json) {
+    EXPECT_THROW(predictor_from_json(json), std::runtime_error)
+        << json.dump().substr(0, 120);
+  };
+
+  for (const char* dim : {"num_layers", "num_ops"}) {
+    rejects(with(dim, Json(-1.0)));
+    rejects(with(dim, Json()));  // null: a NaN written out
+    rejects(with(dim, Json(2.5)));
+    rejects(with(dim, Json(1e30)));
+    rejects(with(dim, Json(0.0)));
+    rejects(with(dim, Json("22")));
+    // Within size range, but not what the tensors carry.
+    rejects(with(dim, Json(4294967295.0)));
+  }
+  rejects(with_tensor("rows", Json(-3.0)));
+  rejects(with_tensor("cols", Json(1e300)));
+
+  // Non-finite weights: null (NaN) and a double that overflows float.
+  Json nan_data = Json::array();
+  Json big_data = Json::array();
+  const std::vector<float> first = predictor.export_state().tensors[0];
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    nan_data.push_back(i == 7 ? Json() : Json(static_cast<double>(first[i])));
+    big_data.push_back(i == 7 ? Json(1e300)
+                              : Json(static_cast<double>(first[i])));
+  }
+  rejects(with_tensor("data", nan_data));
+  rejects(with_tensor("data", big_data));
+
+  rejects(with("target_mean", Json()));
+  rejects(with("target_std", Json()));
+  rejects(with("target_std", Json(0.0)));
+  rejects(with("target_std", Json(-2.0)));
+}
+
 TEST_F(SerializeTest, DatasetRoundTrip) {
   hw::HardwareSimulator device(hw::DeviceProfile::jetson_xavier_maxn(), 8,
                                7);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "nn/autograd.hpp"
 #include "nn/optim.hpp"
@@ -187,6 +188,54 @@ TEST(Adam, WeightDecayPullsTowardZero) {
     opt.step();
   }
   EXPECT_LT(std::abs(p->value.item()), 1.0f);
+}
+
+TEST(FlushBelow, MapsSmallMagnitudesToPositiveZero) {
+  const float min_sub = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float floor : {kMinNormal, kMinWeight}) {
+    for (const float x : {min_sub, -min_sub, 1e-40f, -1e-40f,
+                          kMinNormal - min_sub, -0.0f, 0.0f,
+                          std::nextafter(floor, 0.0f),
+                          -std::nextafter(floor, 0.0f)}) {
+      const float y = flush_below(x, floor);
+      EXPECT_EQ(y, 0.0f) << x;
+      EXPECT_FALSE(std::signbit(y)) << x;
+    }
+    for (const float x : {floor, -floor, 1.0f, -3.4e38f, inf, -inf}) {
+      EXPECT_EQ(flush_below(x, floor), x);
+    }
+    EXPECT_TRUE(std::isnan(flush_below(std::nanf(""), floor)));
+  }
+  EXPECT_EQ(kMinNormal, std::numeric_limits<float>::min());
+  EXPECT_EQ(kMinWeight * kMinWeight, kMinNormal);
+  EXPECT_EQ(flush_below(1e-30f, kMinNormal), 1e-30f);
+  EXPECT_EQ(flush_below(1e-30f, kMinWeight), 0.0f);
+}
+
+TEST(Adam, WeightDecayDrivesWeightAndMomentsToExactZero) {
+  // A parameter that only weight decay touches — a dead unit's weight.
+  // Without the flush, this configuration takes the weight into the
+  // subnormal range within ~250 steps and keeps it there; with the
+  // weight flushed only below FLT_MIN, it would stop near 1.8e-38 once
+  // its first moment is flushed, instead of reaching zero (~4200 steps).
+  VarPtr p = make_leaf(Tensor::scalar(1.0f));
+  Adam opt({p}, 0.1, 0.5, 0.98, 1e-8, 1.0);
+  for (int step = 0; step < 6000; ++step) {
+    p->zero_grad();
+    opt.step();
+    const Adam::State state = opt.export_state();
+    for (const float x : {p->value.item(), state.m[0].item(),
+                          state.v[0].item()}) {
+      ASSERT_NE(std::fpclassify(x), FP_SUBNORMAL) << "step " << step;
+    }
+  }
+  const Adam::State state = opt.export_state();
+  for (const float x : {p->value.item(), state.m[0].item(),
+                        state.v[0].item()}) {
+    EXPECT_EQ(x, 0.0f);
+    EXPECT_FALSE(std::signbit(x));
+  }
 }
 
 TEST(LambdaAscent, RisesWhenOverTarget) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/ops.hpp"
@@ -117,6 +119,98 @@ TEST_F(PredictorTest, FromStateRejectsInconsistentStateBlobs) {
   MlpPredictor::State bad_shape = good;
   bad_shape.shapes.front().first += 1;
   EXPECT_THROW(MlpPredictor::from_state(bad_shape), std::runtime_error);
+}
+
+TEST_F(PredictorTest, FromStateRejectsInvalidHeaderAndValues) {
+  const MlpPredictor predictor(space_.num_layers(), space_.num_ops(), 7);
+  const MlpPredictor::State good = predictor.export_state();
+  const auto rejects = [](const MlpPredictor::State& state) {
+    EXPECT_THROW(MlpPredictor::from_state(state), std::runtime_error);
+  };
+
+  MlpPredictor::State no_layers = good;
+  no_layers.num_layers = 0;
+  rejects(no_layers);
+
+  // A header that disagrees with its tensors is rejected before the
+  // constructor would allocate num_layers * num_ops x 128 floats.
+  MlpPredictor::State huge = good;
+  huge.num_layers = std::size_t{1} << 40;
+  rejects(huge);
+  huge.num_ops = std::size_t{1} << 40;  // the product overflows
+  rejects(huge);
+
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::nanf(""), inf, -inf}) {
+    MlpPredictor::State weight = good;
+    weight.tensors[2][5] = bad;
+    rejects(weight);
+  }
+
+  for (const double mean : {std::nan(""), HUGE_VAL}) {
+    MlpPredictor::State state = good;
+    state.target_mean = mean;
+    rejects(state);
+  }
+  for (const double std_dev : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    MlpPredictor::State state = good;
+    state.target_std = std_dev;
+    rejects(state);
+  }
+}
+
+TEST_F(PredictorTest, FromStateFlushesSubnormalWeights) {
+  const MlpPredictor predictor(space_.num_layers(), space_.num_ops(), 7);
+  MlpPredictor::State state = predictor.export_state();
+  // As saved by a build that let Adam leave subnormal weights, and
+  // tiny normal ones whose products underflow, behind.
+  std::size_t injected = 0;
+  for (std::vector<float>& tensor : state.tensors) {
+    for (std::size_t i = 0; i < tensor.size(); i += 3) {
+      const float tiny = (i % 2 == 0) ? 1e-40f : 1e-30f;
+      tensor[i] = (i % 4 == 0) ? tiny : -tiny;
+      ++injected;
+    }
+  }
+  ASSERT_GT(injected, 0u);
+  const MlpPredictor::State loaded =
+      MlpPredictor::from_state(state).export_state();
+  for (std::size_t t = 0; t < loaded.tensors.size(); ++t) {
+    for (std::size_t i = 0; i < loaded.tensors[t].size(); ++i) {
+      const float w = loaded.tensors[t][i];
+      ASSERT_NE(std::fpclassify(w), FP_SUBNORMAL);
+      if (i % 3 == 0) {
+        EXPECT_EQ(w, 0.0f);
+      } else {
+        EXPECT_EQ(w, state.tensors[t][i]);  // normal weights untouched
+      }
+    }
+  }
+}
+
+TEST_F(PredictorTest, TrainedMlpHasNoSubnormalWeights) {
+  // Small data, many Adam steps: weight decay drives the dead units'
+  // weights toward zero. Before Adam flushed them, this run ended with
+  // ~740 subnormal weights. Now they are exactly zero: no weight is left
+  // below kMinWeight, where its products could underflow.
+  util::Rng rng(4);
+  const MeasurementDataset data = build_measurement_dataset(
+      space_, device_, 300, Metric::kLatencyMs, rng);
+  MlpPredictor mlp(space_.num_layers(), space_.num_ops(), 7);
+  MlpTrainConfig config;
+  config.epochs = 100;
+  config.batch_size = 16;
+  mlp.train(data, config);
+  std::size_t tiny = 0;
+  std::size_t zero = 0;
+  for (const std::vector<float>& tensor : mlp.export_state().tensors) {
+    for (const float w : tensor) {
+      tiny += (w != 0.0f && std::fabs(w) < nn::kMinWeight) ? 1 : 0;
+      zero += w == 0.0f ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(tiny, 0u);
+  EXPECT_GT(zero, 0u);
 }
 
 TEST_F(PredictorTest, MlpIsDifferentiableWrtEncoding) {

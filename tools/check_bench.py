@@ -9,7 +9,9 @@ tier-1 guard that those artifacts stay well-formed: for each known
   - every required key is present and has the expected JSON type, and
   - every gate key holds a passing value (booleans must be true; the
     train-throughput speedup gate must be "pass" or an explicit
-    skipped_* verdict, never "fail").
+    skipped_* verdict, never "fail"), and
+  - a section with nested results (the roofline's per-kernel objects)
+    passes its own check.
 
 Files that do not exist are skipped (only the benches that have run
 emit them), but a file that exists must contain at least one known
@@ -22,13 +24,67 @@ Usage: check_bench.py [dir ...]
   Scans each directory (default: the repo root containing this script's
   parent, then the current directory) for BENCH_*.json. Exits non-zero
   on any validation failure or if no BENCH file is found anywhere.
+  ctest runs it over the build tree's bench/ directory after the smoke
+  benches have written their sections there.
 """
 
 import json
 import os
 import sys
 
-BOOL, NUM, STR, LIST = "bool", "num", "str", "list"
+BOOL, NUM, STR, LIST, OBJ = "bool", "num", "str", "list", "obj"
+
+# The kernels micro_benchmarks times, each reported under its name.
+ROOFLINE_KERNELS = ("matmul_nn", "matmul_tn", "matmul_nt", "add_row_relu")
+ROOFLINE_ARM = {"median_ms": NUM, "p95_ms": NUM}
+ROOFLINE_KERNEL = {
+    "flops_per_call": NUM,
+    "bytes_per_call": NUM,
+    "arithmetic_intensity": NUM,
+    "scalar": OBJ,
+}
+
+
+def check_keys(where, obj, keys, errors):
+    for key, tag in keys.items():
+        if key not in obj:
+            errors.append(f"{where}: missing key '{key}'")
+        elif not type_ok(obj[key], tag):
+            errors.append(
+                f"{where}: key '{key}' should be {tag}, "
+                f"got {json.dumps(obj[key])[:60]}"
+            )
+
+
+def check_roofline_kernels(section, where, errors):
+    """Every timed kernel carries its shape figures and a scalar arm;
+    on an AVX2 host also an avx2 arm and its speedup; the roof figures
+    come as a pair."""
+    kernels = section.get("kernels")
+    if not isinstance(kernels, dict):
+        return  # already reported by the key check
+    for name in ROOFLINE_KERNELS:
+        if name not in kernels:
+            errors.append(f"{where}: kernels: missing kernel '{name}'")
+    avx2 = section.get("avx2_available") is True
+    for name, kernel in kernels.items():
+        at = f"{where}.kernels[{name}]"
+        if not isinstance(kernel, dict):
+            errors.append(f"{at}: not a JSON object")
+            continue
+        keys = dict(ROOFLINE_KERNEL)
+        if avx2:
+            keys.update({"avx2": OBJ, "speedup": NUM})
+        check_keys(at, kernel, keys, errors)
+        for arm in ("scalar", "avx2"):
+            if isinstance(kernel.get(arm), dict):
+                check_keys(f"{at}.{arm}", kernel[arm], ROOFLINE_ARM, errors)
+        if ("roof_gflops" in kernel) != ("pct_roof" in kernel):
+            errors.append(f"{at}: roof_gflops and pct_roof come together")
+        elif "roof_gflops" in kernel:
+            check_keys(at, kernel, {"roof_gflops": NUM, "pct_roof": NUM},
+                       errors)
+
 
 # Gate values: True means "boolean key that must be true".
 # A set of strings means "string key whose value must be in the set".
@@ -122,7 +178,7 @@ SCHEMAS = {
             "default_isa": STR,
             "peak_gflops": NUM,
             "bandwidth_gbs": NUM,
-            "kernels": LIST,
+            "kernels": OBJ,
             "matmul_speedup": NUM,
         },
         "gates": {
@@ -130,6 +186,7 @@ SCHEMAS = {
             "identity_pass": True,
             "trajectory_identical": True,
         },
+        "check": check_roofline_kernels,
     },
     ("BENCH_serve.json", "throughput"): {
         "keys": {
@@ -140,8 +197,12 @@ SCHEMAS = {
             "best_qps": NUM,
             "best_speedup": NUM,
             "speedup_floor": NUM,
+            "predict_batch_us_trained": NUM,
+            "predict_batch_us_fresh": NUM,
+            "predict_batch_ratio": NUM,
+            "predict_batch_ratio_max": NUM,
         },
-        "gates": {"pass": True},
+        "gates": {"pass": True, "predict_batch_ratio_pass": True},
     },
     ("BENCH_serve.json", "resilience"): {
         "keys": {
@@ -199,6 +260,8 @@ def type_ok(value, tag):
         return isinstance(value, str)
     if tag == LIST:
         return isinstance(value, list)
+    if tag == OBJ:
+        return isinstance(value, dict)
     raise AssertionError(f"unknown type tag {tag}")
 
 
@@ -207,14 +270,9 @@ def check_section(filename, section_name, section, schema, errors):
     if not isinstance(section, dict):
         errors.append(f"{where}: section is not a JSON object")
         return
-    for key, tag in schema["keys"].items():
-        if key not in section:
-            errors.append(f"{where}: missing key '{key}'")
-        elif not type_ok(section[key], tag):
-            errors.append(
-                f"{where}: key '{key}' should be {tag}, "
-                f"got {json.dumps(section[key])[:60]}"
-            )
+    check_keys(where, section, schema["keys"], errors)
+    if "check" in schema:
+        schema["check"](section, where, errors)
     for key, expect in schema["gates"].items():
         if key not in section:
             errors.append(f"{where}: missing gate key '{key}'")
