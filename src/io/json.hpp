@@ -10,8 +10,9 @@ namespace lightnas::io {
 
 /// Minimal JSON document model — enough to persist predictors, datasets
 /// and search results without external dependencies. Numbers are stored
-/// as double (round-trip safe for the float32 weights we serialize);
-/// object keys keep insertion order irrelevant (std::map).
+/// as double and written in their shortest round-trip form, so every
+/// finite double (and every float32 weight widened to one) reads back bit
+/// for bit; object keys keep insertion order irrelevant (std::map).
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -24,7 +25,8 @@ class Json {
   explicit Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}
   explicit Json(const char* s) : Json(std::string(s)) {}
 
-  static Json array();
+  /// An empty array with room for `capacity` elements.
+  static Json array(std::size_t capacity = 0);
   static Json object();
 
   Type type() const { return type_; }
@@ -51,7 +53,8 @@ class Json {
   /// Compact serialization (no insignificant whitespace).
   std::string dump() const;
 
-  /// Parse; throws std::runtime_error with position info on bad input.
+  /// Parse; throws std::runtime_error with position info on bad input,
+  /// including numbers outside the JSON grammar or the double range.
   static Json parse(const std::string& text);
 
   // --- convenience for numeric vectors --------------------------------
@@ -61,6 +64,8 @@ class Json {
   std::vector<float> to_floats() const;
 
  private:
+  void dump_to(std::string& out) const;
+
   Type type_;
   bool bool_ = false;
   double number_ = 0.0;

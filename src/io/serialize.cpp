@@ -58,8 +58,9 @@ Json tensor_to_json(const nn::Tensor& t) {
   Json json = Json::object();
   json.set("rows", Json(t.rows()));
   json.set("cols", Json(t.cols()));
-  json.set("data", Json::from_floats(
-                       std::vector<float>(t.data().begin(), t.data().end())));
+  Json data = Json::array(t.data().size());
+  for (float v : t.data()) data.push_back(Json(static_cast<double>(v)));
+  json.set("data", std::move(data));
   return json;
 }
 
@@ -76,7 +77,7 @@ nn::Tensor tensor_from_json(const Json& json) {
 }
 
 Json tensor_list_to_json(const std::vector<nn::Tensor>& tensors) {
-  Json arr = Json::array();
+  Json arr = Json::array(tensors.size());
   for (const nn::Tensor& t : tensors) arr.push_back(tensor_to_json(t));
   return arr;
 }

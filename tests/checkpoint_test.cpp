@@ -7,6 +7,7 @@
 
 #include "core/lightnas.hpp"
 #include "io/serialize.hpp"
+#include "legacy_json.hpp"
 #include "nn/ops.hpp"
 
 namespace lightnas::core {
@@ -199,6 +200,29 @@ TEST_F(CheckpointTest, CheckpointJsonRoundTripPreservesState) {
     EXPECT_EQ(back.trace[e].lambda, saved->trace[e].lambda);
     EXPECT_EQ(back.trace[e].derived.ops(), saved->trace[e].derived.ops());
   }
+}
+
+// A checkpoint written with the old "%.17g"/"%.0f" number formatting
+// restores identical bits and resumes to the uninterrupted result.
+TEST_F(CheckpointTest, LegacyFormattedCheckpointResumesExactly) {
+  const SearchResult full = make_engine(tiny_config()).search();
+  std::optional<SearchCheckpoint> saved;
+  SearchHooks hooks;
+  hooks.on_checkpoint = [&](const SearchCheckpoint& ck) { saved = ck; };
+  hooks.should_stop = [](std::size_t done) { return done >= 5; };
+  (void)make_engine(tiny_config()).search(hooks);
+  ASSERT_TRUE(saved.has_value());
+
+  const io::Json json = io::checkpoint_to_json(*saved);
+  const io::Json legacy = io::Json::parse(io::legacy_dump(json));
+  // Equal dumps mean every number read back with the same bits.
+  ASSERT_EQ(legacy.dump(), json.dump());
+  const SearchCheckpoint loaded = io::checkpoint_from_json(legacy);
+  EXPECT_EQ(io::checkpoint_to_json(loaded).dump(), json.dump());
+
+  SearchHooks resume;
+  resume.resume = &loaded;
+  expect_identical(full, make_engine(tiny_config()).search(resume), 0);
 }
 
 TEST_F(CheckpointTest, ResumeRejectsMismatchedFingerprint) {

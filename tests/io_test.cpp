@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "io/json.hpp"
 #include "io/serialize.hpp"
+#include "legacy_json.hpp"
+#include "util/rng.hpp"
 
 namespace lightnas::io {
 namespace {
@@ -16,6 +23,9 @@ TEST(Json, ScalarRoundTrips) {
   EXPECT_DOUBLE_EQ(Json::parse("3.5").as_number(), 3.5);
   EXPECT_DOUBLE_EQ(Json::parse("-42").as_number(), -42.0);
   EXPECT_DOUBLE_EQ(Json::parse("1e3").as_number(), 1000.0);
+  EXPECT_EQ(Json::parse("-12.5E+3").as_number(), -12500.0);
+  EXPECT_EQ(Json::parse("25e-1").as_number(), 2.5);
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
   EXPECT_EQ(Json::parse("\"hi\"").as_string(), "hi");
 }
 
@@ -57,7 +67,8 @@ TEST(Json, DumpParseRoundTrip) {
 }
 
 TEST(Json, FloatVectorRoundTripIsExact) {
-  // float32 -> double -> %.9g -> parse -> float32 must be lossless.
+  // float32 -> double -> shortest round-trip text -> parse -> float32
+  // must be lossless.
   std::vector<float> values{1.0f, -0.333333343f, 3.14159274f, 1e-20f,
                             123456.789f};
   const Json j = Json::parse(Json::from_floats(values).dump());
@@ -74,12 +85,108 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(Json::parse("nul"), std::runtime_error);
   EXPECT_THROW(Json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(Json::parse("{\"a\" 1}"), std::runtime_error);
+  // Numbers outside the JSON grammar or the double range; the first three
+  // used to parse as a prefix.
+  for (const char* text :
+       {"[1.2.3]", "[1-2]", "[1e5e5]", "+1", "01", ".5", "[-]", "1.", "1e",
+        "1e+", "-.5", "0x10", "1e999", "-1e999", "[1,2e400]"}) {
+    EXPECT_THROW(Json::parse(text), std::runtime_error) << text;
+  }
+  EXPECT_THROW(Json::parse(R"("\uzzzz")"), std::runtime_error);
+  EXPECT_THROW(Json::parse(R"("\u-001")"), std::runtime_error);
+}
+
+TEST(Json, IntegralNumbersKeepTheirIntegerSpelling) {
+  EXPECT_EQ(Json(3.0).dump(), "3");
+  EXPECT_EQ(Json(-42).dump(), "-42");
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(999999999999999.0).dump(), "999999999999999");
+  EXPECT_EQ(Json(0.1).dump(), "0.1");
+  EXPECT_EQ(Json(1e15).dump(), "1e+15");
+}
+
+// A checkpoint holding a subnormal used to save but not resume: the old
+// reader rejected its own "%.17g" output as out of range.
+TEST(Json, SubnormalsAndNegativeZeroRoundTrip) {
+  const double values[] = {1e-310, std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           -0.0};
+  for (const double v : values) {
+    const double back = Json::parse(Json(v).dump()).as_number();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << Json(v).dump();
+  }
+  EXPECT_EQ(Json::parse("9.9999999999999694e-311").as_number(), 1e-310);
+  EXPECT_EQ(Json::parse("-4.9406564584124654e-324").as_number(),
+            -std::numeric_limits<double>::denorm_min());
+}
+
+// 1M seeded float bit patterns, plus every float of the binade holding
+// +-7.038531e-26f: shortest-float text read as a double and cast back
+// lands on the wrong float there, so a float-specific writer would fail.
+TEST(Json, FloatBitPatternsRoundTripExactly) {
+  const auto check = [](const std::vector<float>& values) {
+    const std::vector<float> back =
+        Json::parse(Json::from_floats(values).dump()).to_floats();
+    ASSERT_EQ(back.size(), values.size());
+    const auto [in, out] = std::mismatch(
+        values.begin(), values.end(), back.begin(), [](float a, float b) {
+          return std::bit_cast<std::uint32_t>(a) ==
+                 std::bit_cast<std::uint32_t>(b);
+        });
+    ASSERT_TRUE(in == values.end()) << *in << " read back as " << *out;
+  };
+  constexpr std::size_t kChunk = 1 << 8;
+  std::vector<float> chunk;
+  chunk.reserve(kChunk);
+  util::Rng rng(13);
+  for (std::size_t i = 0; i < (1u << 20); ++i) {
+    const auto v = std::bit_cast<float>(
+        static_cast<std::uint32_t>(rng.next_u64() >> 32));
+    if (std::isfinite(v)) chunk.push_back(v);
+    if (chunk.size() == kChunk) {
+      check(chunk);
+      chunk.clear();
+    }
+  }
+  check(chunk);
+  const std::uint32_t binade = std::bit_cast<std::uint32_t>(7.038531e-26f) &
+                               0x7f800000u;
+  for (const std::uint32_t sign : {0u, 0x80000000u}) {
+    for (std::uint32_t m = 0; m < (1u << 23); m += kChunk) {
+      chunk.clear();
+      for (std::uint32_t k = 0; k < kChunk; ++k) {
+        chunk.push_back(std::bit_cast<float>(sign | binade | (m + k)));
+      }
+      check(chunk);
+    }
+  }
+}
+
+TEST(Json, DoubleBitPatternsRoundTripExactly) {
+  util::Rng rng(14);
+  for (std::size_t i = 0; i < (1u << 20); ++i) {
+    const double v = std::bit_cast<double>(rng.next_u64());
+    const Json back = Json::parse(Json(v).dump());
+    if (!std::isfinite(v)) {
+      ASSERT_TRUE(back.is_null());
+      continue;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back.as_number()),
+              std::bit_cast<std::uint64_t>(v))
+        << Json(v).dump();
+  }
 }
 
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "lightnas_io_test";
+    // One directory per test: ctest runs the tests of this fixture in
+    // parallel processes, and each TearDown removes its directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("lightnas_io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -191,6 +298,41 @@ TEST_F(SerializeTest, PredictorLoaderRejectsHostileArtifacts) {
   rejects(with("target_std", Json()));
   rejects(with("target_std", Json(0.0)));
   rejects(with("target_std", Json(-2.0)));
+}
+
+// Tensors and predictors written with the old "%.17g"/"%.0f" number
+// formatting still load, bit for bit.
+TEST_F(SerializeTest, LegacyFormattedArtifactsLoadBitForBit) {
+  nn::Tensor t(3, 4);
+  const float values[] = {1.0f,   -0.0f,  0.1f,         -3.14159274f,
+                          1e-20f, 1e-40f, -1e-45f,      123456.789f,
+                          -2.5f,  3.4e38f, 16777216.0f, 7.038531e-26f};
+  for (std::size_t i = 0; i < t.size(); ++i) t[i] = values[i];
+  const nn::Tensor back = detail::tensor_from_json(
+      Json::parse(legacy_dump(detail::tensor_to_json(t))));
+  ASSERT_EQ(back.size(), t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+              std::bit_cast<std::uint32_t>(t[i]))
+        << t[i];
+  }
+
+  const predictors::MlpPredictor predictor(space_.num_layers(),
+                                           space_.num_ops());
+  const Json json = predictor_to_json(predictor);
+  const std::string legacy = legacy_dump(json);
+  // The new reader restores every number of the old text exactly, so it
+  // re-serializes to what the new writer produces.
+  EXPECT_EQ(Json::parse(legacy).dump(), json.dump());
+  const predictors::MlpPredictor::State a = predictor.export_state();
+  const predictors::MlpPredictor::State b =
+      predictor_from_json(Json::parse(legacy)).export_state();
+  EXPECT_EQ(b.target_mean, a.target_mean);
+  EXPECT_EQ(b.target_std, a.target_std);
+  ASSERT_EQ(b.tensors.size(), a.tensors.size());
+  for (std::size_t i = 0; i < a.tensors.size(); ++i) {
+    EXPECT_EQ(b.tensors[i], a.tensors[i]);
+  }
 }
 
 TEST_F(SerializeTest, DatasetRoundTrip) {
