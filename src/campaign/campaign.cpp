@@ -309,9 +309,9 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
     }
 
     // ---- per-target alpha/lambda phase ---------------------------------
-    // Heads are independent, but every alpha backward traverses the
-    // shared supernet's gradient buffers, so jobs step serially in id
-    // order (the GEMMs inside each step still use the parallel context).
+    // Heads are independent and an alpha step writes no supernet
+    // gradient, but their GEMMs share the parallel context, so jobs
+    // step serially in id order.
     if (epoch >= search.warmup_epochs) {
       for (Job* job_ptr : active) {
         Job& job = *job_ptr;

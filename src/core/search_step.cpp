@@ -17,6 +17,25 @@ nn::VarPtr hard_gate(const nn::VarPtr& soft_prob) {
       nn::ops::sub(soft_prob, nn::ops::detach(soft_prob)), 1.0);
 }
 
+/// Holds a set of parameters at requires_grad = false for its lifetime,
+/// so a backward through them computes no gradient for them; the
+/// destructor marks them trainable again, on unwinding too.
+class FrozenParams {
+ public:
+  explicit FrozenParams(const std::vector<nn::VarPtr>& params)
+      : params_(params) {
+    for (const nn::VarPtr& p : params_) p->requires_grad = false;
+  }
+  ~FrozenParams() {
+    for (const nn::VarPtr& p : params_) p->requires_grad = true;
+  }
+  FrozenParams(const FrozenParams&) = delete;
+  FrozenParams& operator=(const FrozenParams&) = delete;
+
+ private:
+  const std::vector<nn::VarPtr>& params_;
+};
+
 std::size_t infer_num_classes(const nn::SyntheticTask& task) {
   return task.train.labels.empty()
              ? 10
@@ -98,50 +117,23 @@ SharedWTrainer::SharedWTrainer(const SearchTopology& topology,
       plans_(config.plan) {
   plan_inputs_.resize(1);
   plan_labels_.resize(1);
-  param_index_.reserve(weight_params_.size());
-  for (std::uint32_t i = 0; i < weight_params_.size(); ++i) {
-    param_index_.emplace(weight_params_[i].get(), i);
-  }
-}
-
-void SharedWTrainer::rebuild_plan_active(
-    const nn::plan::ExecutionPlan* plan) {
-  // Runs once per plan switch (never in the planned steady state, so
-  // the vector growth here stays off the zero-alloc hot path).
-  active_plan_ = plan;
-  plan_active_valid_ = true;
-  plan_active_.clear();
-  for (const nn::plan::ProgramSlot& slot : plan->program().slots) {
-    if (slot.kind != nn::plan::SlotKind::kParam) continue;
-    const auto it = param_index_.find(slot.param.get());
-    if (it == param_index_.end()) {
-      // A parameter this trainer does not own (should not happen for
-      // w-step plans) — no manifest, use the dense optimizer sweep.
-      plan_active_valid_ = false;
-      return;
-    }
-    plan_active_.push_back(it->second);
-  }
-  std::sort(plan_active_.begin(), plan_active_.end());
-  plan_active_.erase(
-      std::unique(plan_active_.begin(), plan_active_.end()),
-      plan_active_.end());
+  manifest_.reserve(weight_params_.size());
 }
 
 double SharedWTrainer::step(const nn::Dataset& batch,
                             const std::vector<std::size_t>& op_choice) {
-  // Zero exactly what the previous step's backward wrote: a planned
-  // step accumulates gradients only into its plan's parameter set, so
-  // the next step needs to clear just those. Dynamic steps have no
-  // such manifest and fall back to the dense sweep.
-  if (wrote_all_) {
+  // Only the previous step's path holds gradients (alpha steps compute
+  // none), so zeroing its manifest leaves every gradient zero — the
+  // precondition of Sgd::step_on below.
+  if (zero_all_) {
     w_optimizer_.zero_grad();
+    zero_all_ = false;
   } else {
-    for (const std::uint32_t i : plan_active_) {
-      weight_params_[i]->zero_grad();
-    }
+    for (const std::uint32_t i : manifest_) weight_params_[i]->zero_grad();
   }
-  wrote_all_ = true;
+  // Taken before the forward, so even a step that throws midway leaves
+  // a manifest covering whatever its backward wrote.
+  supernet_.path_parameters(op_choice, manifest_);
   if (!plans_.settings().enabled) {
     return dynamic_step(batch, op_choice, /*record=*/false);
   }
@@ -177,16 +169,7 @@ double SharedWTrainer::step(const nn::Dataset& batch,
       // and advance the tape generation before the optimizer runs.
       nn::discard_tape_log();
       w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
-      if (plan != active_plan_) rebuild_plan_active(plan);
-      if (plan_active_valid_) {
-        // The plan's parameter table is an exact manifest of which
-        // gradients this step produced — every other parameter's grad
-        // is still zero, so the optimizer can skip reading it.
-        w_optimizer_.step_on(plan_active_);
-        wrote_all_ = false;
-      } else {
-        w_optimizer_.step();
-      }
+      w_optimizer_.step_on(manifest_);
       return static_cast<double>(plan->root_data()[0]);
     }
   }
@@ -196,11 +179,6 @@ double SharedWTrainer::step(const nn::Dataset& batch,
 double SharedWTrainer::dynamic_step(
     const nn::Dataset& batch, const std::vector<std::size_t>& op_choice,
     bool record) {
-  // Any compile below may free an evicted plan and a later compile may
-  // reuse its address — drop the pointer-identity cache so the next
-  // planned step rebuilds its parameter manifest.
-  active_plan_ = nullptr;
-  plan_active_valid_ = false;
   std::unique_ptr<nn::plan::Program> program;
   nn::VarPtr loss;
   if (record) {
@@ -218,7 +196,7 @@ double SharedWTrainer::dynamic_step(
   }
   nn::backward(loss);
   w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
-  w_optimizer_.step();
+  w_optimizer_.step_on(manifest_);
   if (record) {
     plans_.store(plan_key_,
                  program != nullptr
@@ -228,12 +206,6 @@ double SharedWTrainer::dynamic_step(
                      : nullptr);
   }
   return static_cast<double>(loss->value.item());
-}
-
-void SharedWTrainer::clear_weight_grads() {
-  for (const nn::VarPtr& param : weight_params_) {
-    param->zero_grad();
-  }
 }
 
 SharedWTrainer::State SharedWTrainer::export_state() const {
@@ -263,7 +235,7 @@ void SharedWTrainer::restore_state(const State& state) {
   step_counter_ = state.step_counter;
   // Whatever gradients are in flight belong to the pre-restore
   // trajectory — make the next step sweep all of them.
-  wrote_all_ = true;
+  zero_all_ = true;
 }
 
 // ------------------------------------------------------ alpha-lambda head
@@ -296,6 +268,7 @@ double AlphaLambdaHead::alpha_step(
   const std::vector<std::size_t>& searchable =
       topology_->searchable_layers();
   const std::vector<Constraint>& constraints = *constraints_;
+  const FrozenParams frozen(weight_params);
 
   const nn::VarPtr p_hat = nn::ops::row_softmax(nn::ops::scale(
       nn::ops::add(alpha_, nn::make_const(gumbel_noise(
@@ -335,14 +308,8 @@ double AlphaLambdaHead::alpha_step(
   }
 
   alpha_optimizer_.zero_grad();
-  // The supernet weights also receive gradients here; the caller-supplied
-  // weight_params are cleared without being applied (bi-level: alpha-only
-  // update).
   nn::backward(loss);
   alpha_optimizer_.step();
-  for (const nn::VarPtr& param : weight_params) {
-    param->zero_grad();
-  }
 
   // Gradient ascent on each lambda (Eq 11): dL/dlambda_c =
   // COST_c(alpha)/T_c - 1, where the architecture encoded by alpha is the

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/gumbel.hpp"
@@ -104,12 +103,15 @@ class SharedWTrainer {
 
   /// One shared-w update: cross-entropy on the sampled single path,
   /// backward, cosine-scheduled SGD step.  Returns the training loss.
+  ///
+  /// The step touches only its path: it zeroes the previous step's path
+  /// manifest (SurrogateSupernet::path_parameters) and runs
+  /// Sgd::step_on over this one, which is bit-identical to the dense
+  /// zero_grad + step as long as no other code writes supernet weight
+  /// gradients between steps (alpha_step writes none). The first step
+  /// and the first after restore_state sweep every gradient.
   double step(const nn::Dataset& batch,
               const std::vector<std::size_t>& op_choice);
-
-  /// Clear gradients accumulated into the supernet weights by an
-  /// alpha-phase backward (bi-level: those gradients are never applied).
-  void clear_weight_grads();
 
   /// Plan-layer telemetry of this trainer's cache (see nn/plan.hpp).
   const nn::plan::PlanCache& plans() const { return plans_; }
@@ -140,19 +142,11 @@ class SharedWTrainer {
   std::vector<const nn::Tensor*> plan_inputs_;
   std::vector<const std::vector<std::size_t>*> plan_labels_;
 
-  /// Sparse-optimizer bookkeeping. A compiled plan's parameter table is
-  /// an exact manifest of which gradients a planned step produces, so
-  /// the optimizer can run Sgd::step_on over just that set (and the
-  /// next step zeroes just that set). `active_plan_` caches the
-  /// manifest by plan identity; `wrote_all_` falls back to the dense
-  /// sweep after any step without a manifest.
-  std::unordered_map<const nn::Var*, std::uint32_t> param_index_;
-  const nn::plan::ExecutionPlan* active_plan_ = nullptr;
-  std::vector<std::uint32_t> plan_active_;
-  bool plan_active_valid_ = false;
-  bool wrote_all_ = true;
+  /// The path manifest of the last step (the only gradients it wrote)
+  /// and whether the next step must zero every gradient instead.
+  std::vector<std::uint32_t> manifest_;
+  bool zero_all_ = true;
 
-  void rebuild_plan_active(const nn::plan::ExecutionPlan* plan);
   double dynamic_step(const nn::Dataset& batch,
                       const std::vector<std::size_t>& op_choice,
                       bool record);
@@ -184,8 +178,11 @@ class AlphaLambdaHead {
   /// One alpha + lambda update (the validation-phase body of Eq 11):
   /// sampled path with GDAS gates, CE + per-constraint penalty terms,
   /// Adam step on alpha, gradient ascent on each lambda against the
-  /// derived architecture's predicted cost. Gradients leaked into the
-  /// supernet weights are cleared (bi-level: alpha-only update).
+  /// derived architecture's predicted cost. `weight_params` (the
+  /// supernet's weights) are held at requires_grad = false for the
+  /// step, so the backward computes no weight gradient at all and
+  /// leaves theirs untouched (bi-level: alpha-only update); the flag is
+  /// restored to true on every exit, exceptions included.
   /// Returns the sampled first-constraint cost (epoch telemetry).
   double alpha_step(const SurrogateSupernet& supernet,
                     const std::vector<nn::VarPtr>& weight_params,

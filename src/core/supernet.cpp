@@ -37,6 +37,23 @@ SurrogateSupernet::SurrogateSupernet(const space::SearchSpace& space,
   }
   classifier_ = std::make_unique<nn::Linear>(embed_dim_, num_classes, rng,
                                              "supernet.classifier");
+
+  // Index ranges in weight_parameters() order, for path_parameters().
+  const auto count = [](const nn::Module& m) {
+    return static_cast<std::uint32_t>(m.parameters().size());
+  };
+  std::uint32_t next = stem_end_ = count(*stem_);
+  block_range_.resize(blocks_.size());
+  for (std::size_t l = 0; l < blocks_.size(); ++l) {
+    block_range_[l].assign(blocks_[l].size(), {next, next});
+    for (std::size_t k = 0; k < blocks_[l].size(); ++k) {
+      if (!blocks_[l][k]) continue;
+      block_range_[l][k] = {next, next + count(*blocks_[l][k])};
+      next = block_range_[l][k].second;
+    }
+  }
+  classifier_begin_ = next;
+  num_params_ = next + count(*classifier_);
 }
 
 std::size_t SurrogateSupernet::hidden_width(const space::Operator& op,
@@ -113,6 +130,22 @@ std::vector<nn::VarPtr> SurrogateSupernet::weight_parameters() const {
   }
   for (const nn::VarPtr& p : classifier_->parameters()) params.push_back(p);
   return params;
+}
+
+void SurrogateSupernet::path_parameters(
+    const std::vector<std::size_t>& op_choice,
+    std::vector<std::uint32_t>& out) const {
+  assert(op_choice.size() == space_->num_layers());
+  out.clear();
+  const auto append = [&out](std::uint32_t begin, std::uint32_t end) {
+    for (std::uint32_t i = begin; i < end; ++i) out.push_back(i);
+  };
+  append(0, stem_end_);
+  for (std::size_t l = 0; l < op_choice.size(); ++l) {
+    const auto [begin, end] = block_range_[l][op_choice[l]];
+    append(begin, end);
+  }
+  append(classifier_begin_, num_params_);
 }
 
 std::size_t SurrogateSupernet::activations_single_path(

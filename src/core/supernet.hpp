@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "nn/data.hpp"
@@ -76,6 +77,14 @@ class SurrogateSupernet {
   /// All supernet weights (stem, every candidate block, classifier).
   std::vector<nn::VarPtr> weight_parameters() const;
 
+  /// Path manifest: writes into `out` the ascending indices into
+  /// weight_parameters() of exactly the weights a single-path pass over
+  /// `op_choice` reads — the stem, every chosen non-skip block, the
+  /// classifier. Offsets are fixed at construction and `out` keeps its
+  /// capacity, so a steady-state call does not allocate.
+  void path_parameters(const std::vector<std::size_t>& op_choice,
+                       std::vector<std::uint32_t>& out) const;
+
   /// Activation-memory footprint (floats) of one forward pass at the
   /// given batch size — single-path vs multi-path. Quantifies the
   /// "memory bottleneck" argument of Sec 3.3 / Table 1.
@@ -93,6 +102,14 @@ class SurrogateSupernet {
   /// blocks_[l][k]: candidate block, nullptr for SkipConnect.
   std::vector<std::vector<std::unique_ptr<nn::ResidualBlock>>> blocks_;
   std::unique_ptr<nn::Linear> classifier_;
+  /// weight_parameters() index ranges: [0, stem_end_) is the stem,
+  /// block_range_[l][k] the candidate block (empty for SkipConnect),
+  /// [classifier_begin_, num_params_) the classifier.
+  std::uint32_t stem_end_ = 0;
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+      block_range_;
+  std::uint32_t classifier_begin_ = 0;
+  std::uint32_t num_params_ = 0;
 };
 
 }  // namespace lightnas::core

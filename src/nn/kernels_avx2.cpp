@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 
 #include "nn/simd.hpp"
@@ -194,88 +193,6 @@ void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
     gemm_rows<true>(av, b, c, k, n, i0, i1, kc);
   } else {
     gemm_rows<false>(av, b, c, k, n, i0, i1, kc);
-  }
-}
-
-namespace {
-
-/// NT layout: C(i, j) = dot(A row i, B row j), B is (n x k) row-major.
-/// Vectorizing the dot along k would split one element's chain across
-/// lanes (a horizontal reduction — different rounding order), so like
-/// the NN/TN kernels this vectorizes across output COLUMNS: lane l owns
-/// the full ascending-p chain of C(i, j + l), fed by a manual 8-way pack
-/// of b[(j+l)*k + p]. The pack costs 8 scalar loads per p, but one pack
-/// serves all 4 rows of the A micro-tile (32 mul+adds), and the 8 B-row
-/// streams advance sequentially so the loads stay in cache. The n % 8
-/// column tail runs the scalar dot loop — identical chain, so identity
-/// holds without a masked pack.
-template <bool kFma>
-void nt_rows(const float* a, const float* b, float* c, std::size_t k,
-             std::size_t n, std::size_t r0, std::size_t r1) {
-  const std::size_t n8 = n - n % 8;
-  std::size_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    for (std::size_t j = 0; j < n8; j += 8) {
-      __m256 acc[4];
-      for (auto& v : acc) v = _mm256_setzero_ps();
-      const float* brows = b + j * k;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_set_ps(
-            brows[7 * k + p], brows[6 * k + p], brows[5 * k + p],
-            brows[4 * k + p], brows[3 * k + p], brows[2 * k + p],
-            brows[1 * k + p], brows[0 * k + p]);
-        for (std::size_t r = 0; r < 4; ++r) {
-          const __m256 as = _mm256_set1_ps(a[(i + r) * k + p]);
-          acc[r] = accumulate<kFma>(acc[r], as, bv);
-        }
-      }
-      for (std::size_t r = 0; r < 4; ++r) {
-        _mm256_storeu_ps(c + (i + r) * n + j, acc[r]);
-      }
-    }
-  }
-  for (; i < r1; ++i) {
-    for (std::size_t j = 0; j < n8; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const float* brows = b + j * k;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_set_ps(
-            brows[7 * k + p], brows[6 * k + p], brows[5 * k + p],
-            brows[4 * k + p], brows[3 * k + p], brows[2 * k + p],
-            brows[1 * k + p], brows[0 * k + p]);
-        acc = accumulate<kFma>(acc, _mm256_set1_ps(a[i * k + p]), bv);
-      }
-      _mm256_storeu_ps(c + i * n + j, acc);
-    }
-  }
-  // Column tail: plain dots (each its own ascending-p chain). With fma,
-  // std::fma keeps the tail on the same single-rounding contract.
-  for (i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    for (std::size_t j = n8; j < n; ++j) {
-      const float* brow = b + j * k;
-      float dot = 0.0f;
-      if constexpr (kFma) {
-        for (std::size_t p = 0; p < k; ++p) {
-          dot = std::fma(arow[p], brow[p], dot);
-        }
-      } else {
-        for (std::size_t p = 0; p < k; ++p) dot += arow[p] * brow[p];
-      }
-      c[i * n + j] = dot;
-    }
-  }
-}
-
-}  // namespace
-
-void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
-                         std::size_t k, std::size_t n, std::size_t r0,
-                         std::size_t r1, bool fma) {
-  if (fma) {
-    nt_rows<true>(a, b, c, k, n, r0, r1);
-  } else {
-    nt_rows<false>(a, b, c, k, n, r0, r1);
   }
 }
 

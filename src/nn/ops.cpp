@@ -14,11 +14,14 @@ namespace {
 // Var construction (node recycling + tape logging) lives in
 // nn::make_node — see autograd.hpp.
 
+/// False for a pure constant leaf — a parent whose gradient nothing
+/// reads, so ops skip computing it (a frozen parameter is one too).
+bool wants_grad(const VarPtr& p) {
+  return p->requires_grad || p->backward_fn || !p->parents.empty();
+}
+
 void accumulate(const VarPtr& p, const Tensor& g) {
-  if (!p->requires_grad && !p->backward_fn && p->parents.empty()) {
-    // Pure constant leaf: skip the work.
-    return;
-  }
+  if (!wants_grad(p)) return;
   p->ensure_grad();
   p->grad.add_inplace(g);
 }
@@ -32,8 +35,8 @@ VarPtr matmul(const VarPtr& a, const VarPtr& b) {
   Tensor out = lightnas::nn::matmul(a->value, b->value);
   VarPtr node = make_node(std::move(out), {a, b}, [a, b](Var& node) {
     // dL/dA = dL/dC * B^T ; dL/dB = A^T * dL/dC
-    accumulate(a, matmul_nt(node.grad, b->value));
-    accumulate(b, matmul_tn(a->value, node.grad));
+    if (wants_grad(a)) accumulate(a, matmul_nt(node.grad, b->value));
+    if (wants_grad(b)) accumulate(b, matmul_tn(a->value, node.grad));
   });
   if (plan::detail::recording_active()) {
     plan::detail::record_op(node, plan::OpKind::kMatmul, a, &b, 0.0);
@@ -96,6 +99,7 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
   out.add_row_inplace(bias->value);
   VarPtr node = make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
     accumulate(x, node.grad);
+    if (!wants_grad(bias)) return;
     Tensor gb = Tensor::zeros(1, node.grad.cols());
     for (std::size_t r = 0; r < node.grad.rows(); ++r) {
       for (std::size_t c = 0; c < node.grad.cols(); ++c) {

@@ -205,6 +205,7 @@ struct GemmDesc {
   GemmRowFn fn = nullptr;
   std::size_t m = 0, k = 0, n = 0, kc = 64;
   bool fma = false;
+  bool pack_b = false;             // NT: B is (n x k), packed per execute
   std::uint32_t chunks = 1;        // 1 = serial
   std::uint32_t bounds_begin = 0;  // into the bounds pool when chunks > 1
 };
@@ -219,8 +220,9 @@ struct Instr {
   std::int32_t gemm = -1;
 };
 
-// The six pinned kernel entry points. Selected once at compile time;
-// every row range of one instruction runs the same kernel.
+// The four pinned kernel entry points (NT instructions run the NN pair
+// on a packed B). Selected once at compile time; every row range of one
+// instruction runs the same kernel.
 void gemm_nn_scalar(const GemmArgs& g, std::size_t r0, std::size_t r1) {
   matmul_rows_scalar(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1, g.d->kc);
 }
@@ -235,13 +237,6 @@ void gemm_tn_scalar(const GemmArgs& g, std::size_t r0, std::size_t r1) {
 void gemm_tn_avx2(const GemmArgs& g, std::size_t r0, std::size_t r1) {
   simd::matmul_tn_rows_avx2(g.a, g.b, g.c, g.d->k, g.d->m, g.d->n, r0, r1,
                             g.d->kc, g.d->fma);
-}
-void gemm_nt_scalar(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  matmul_nt_rows_scalar(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1);
-}
-void gemm_nt_avx2(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  simd::matmul_nt_rows_avx2(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1,
-                            g.d->fma);
 }
 
 void gemm_chunk(void* arg, std::size_t r0, std::size_t r1) {
@@ -642,7 +637,10 @@ struct Compiler {
     switch (kind) {
       case 'N': d.fn = vec ? gemm_nn_avx2 : gemm_nn_scalar; break;
       case 'T': d.fn = vec ? gemm_tn_avx2 : gemm_tn_scalar; break;
-      default:  d.fn = vec ? gemm_nt_avx2 : gemm_nt_scalar; break;
+      default:  // NT: matmul_nt_into's pack, then the NN kernels
+        d.fn = vec ? gemm_nn_avx2 : gemm_nn_scalar;
+        d.pack_b = true;
+        break;
     }
     // The exact should_parallelize() / for_rows partition the dynamic
     // dispatch would pick for this shape, decided once here.
@@ -1150,6 +1148,7 @@ bool ExecutionPlan::execute(
       case IKind::kGemm: {
         const GemmDesc& d = im.gemms[static_cast<std::size_t>(ins.gemm)];
         GemmArgs ga{im.ptr(ins.a), im.ptr(ins.b), im.ptr(ins.c), &d};
+        if (d.pack_b) ga.b = pack_transposed(ga.b, d.n, d.k);
         if (d.chunks > 1) {
           ctx.for_partition(im.bounds.data() + d.bounds_begin, d.chunks,
                             &gemm_chunk, &ga);
@@ -1346,7 +1345,6 @@ std::size_t ExecutionPlan::num_label_bindings() const {
   return impl_->program.num_label_bindings;
 }
 bool ExecutionPlan::has_backward() const { return impl_->opts.backward; }
-const Program& ExecutionPlan::program() const { return impl_->program; }
 
 // --- settings / stats / cache -----------------------------------------
 

@@ -175,9 +175,6 @@ class ExecutionPlan {
   std::size_t num_label_bindings() const;
   bool has_backward() const;
 
-  /// The IR this plan was compiled from (for serialization).
-  const Program& program() const;
-
  private:
   ExecutionPlan();
   struct Impl;

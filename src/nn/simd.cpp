@@ -169,10 +169,6 @@ void matmul_tn_rows_avx2(const float*, const float*, float*, std::size_t,
                          std::size_t, std::size_t, bool) {
   no_avx2();
 }
-void matmul_nt_rows_avx2(const float*, const float*, float*, std::size_t,
-                         std::size_t, std::size_t, std::size_t, bool) {
-  no_avx2();
-}
 void add_row_relu_rows_avx2(float*, const float*, std::size_t, std::size_t,
                             std::size_t) {
   no_avx2();

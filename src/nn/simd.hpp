@@ -96,13 +96,6 @@ void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t kc,
                          bool fma);
 
-/// C(r0..r1, :) = A(r0..r1, :) * B^T, A (m x k), B (n x k). Dot-product
-/// layout (no k-tiling: each output is one pass over k held in a
-/// register), so there is no kc parameter.
-void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
-                         std::size_t k, std::size_t n, std::size_t r0,
-                         std::size_t r1, bool fma);
-
 /// Fused v = max(v + bias[c], 0) over rows [r0, r1) of data (rows x cols).
 void add_row_relu_rows_avx2(float* data, const float* bias,
                             std::size_t cols, std::size_t r0,

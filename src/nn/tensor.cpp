@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "nn/aligned.hpp"
 #include "nn/parallel.hpp"
 #include "nn/pool.hpp"
 #include "nn/simd.hpp"
@@ -401,41 +402,18 @@ void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
   }
 }
 
-/// C(r0..r1, :) = A(r0..r1, :) * B^T for row-major A (m x k), B (n x k).
-/// Four independent dot accumulators per j-tile; each is its own
-/// ascending-p chain, so per-element order matches the naive dot.
-void matmul_nt_rows_scalar(const float* a, const float* b, float* c,
-                           std::size_t k, std::size_t n, std::size_t r0,
-                           std::size_t r1) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + 3 < n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        d0 += av * b0[p];
-        d1 += av * b1[p];
-        d2 += av * b2[p];
-        d3 += av * b3[p];
-      }
-      crow[j] = d0;
-      crow[j + 1] = d1;
-      crow[j + 2] = d2;
-      crow[j + 3] = d3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) dot += arow[p] * brow[p];
-      crow[j] = dot;
-    }
+const float* pack_transposed(const float* b, std::size_t rows,
+                             std::size_t cols) {
+  // Grows to the largest operand seen and is then reused, so the
+  // steady state does not allocate.
+  thread_local AlignedVector scratch;
+  if (scratch.size() < rows * cols) scratch.resize(rows * cols);
+  float* bt = scratch.data();
+  for (std::size_t j = 0; j < rows; ++j) {
+    const float* brow = b + j * cols;
+    for (std::size_t p = 0; p < cols; ++p) bt[p * rows + j] = brow[p];
   }
+  return bt;
 }
 
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
@@ -490,23 +468,11 @@ void matmul_tn_into(const float* a, const float* b, float* c, std::size_t k,
 
 void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n, const ParallelContext& ctx) {
-  // The NT kernel assigns every element (dot accumulators start at 0),
-  // so the output never needs a pre-fill, even for k == 0.
-  const simd::IsaLevel isa = simd::active_isa();
-  const bool fma = isa == simd::IsaLevel::kAvx2Fma;
-  const auto body = [a, b, c, k, n, isa,
-                     fma](std::size_t r0, std::size_t r1) {
-    if (isa != simd::IsaLevel::kScalar) {
-      simd::matmul_nt_rows_avx2(a, b, c, k, n, r0, r1, fma);
-    } else {
-      matmul_nt_rows_scalar(a, b, c, k, n, r0, r1);
-    }
-  };
-  if (ctx.should_parallelize(m, 2 * m * k * n)) {
-    ctx.for_rows(m, body);
-  } else {
-    body(0, m);
-  }
+  // Pack B^T (k x n) once, then run the NN tiles. Every output keeps
+  // the single ascending-p chain from +0 a dot product would run, so
+  // this is bit-identical to C(i, j) = dot(A row i, B row j) on every
+  // tier (k == 0 zero-fills, as the empty dot does).
+  matmul_into(a, pack_transposed(b, n, k), c, m, k, n, ctx);
 }
 
 void add_row_into(float* data, const float* bias, std::size_t rows,

@@ -200,7 +200,8 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m,
 /// C = A^T * B with A stored (k x m) row-major; C is (m x n).
 void matmul_tn_into(const float* a, const float* b, float* c, std::size_t k,
                     std::size_t m, std::size_t n, const ParallelContext& ctx);
-/// C = A * B^T with B stored (n x k) row-major; C is (m x n).
+/// C = A * B^T with B stored (n x k) row-major; C is (m x n). Packs
+/// B^T with pack_transposed and runs matmul_into's kernels on it.
 void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n, const ParallelContext& ctx);
 /// Raw-pointer row-broadcast helpers (the add_row_*_inplace bodies):
@@ -221,8 +222,13 @@ void matmul_rows_scalar(const float* a, const float* b, float* c,
 void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
                            std::size_t k, std::size_t m, std::size_t n,
                            std::size_t i0, std::size_t i1, std::size_t kc);
-void matmul_nt_rows_scalar(const float* a, const float* b, float* c,
-                           std::size_t k, std::size_t n, std::size_t r0,
-                           std::size_t r1);
+
+/// Transpose of the row-major (rows x cols) matrix `b`, written into
+/// this thread's reusable scratch and returned as (cols x rows)
+/// row-major. Valid until the calling thread's next call; the NT GEMM
+/// (matmul_nt_into and the plan compiler's NT instructions) packs its B
+/// operand here so it runs on the NN kernels.
+const float* pack_transposed(const float* b, std::size_t rows,
+                             std::size_t cols);
 
 }  // namespace lightnas::nn

@@ -1,14 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
 #include "core/gumbel.hpp"
 #include "core/lightnas.hpp"
+#include "core/search_step.hpp"
 #include "core/supernet.hpp"
 #include "nn/ops.hpp"
+#include "nn/optim.hpp"
+#include "nn/pool.hpp"
 #include "predictors/mlp_predictor.hpp"
 #include "util/stats.hpp"
 
 namespace lightnas::core {
 namespace {
+
+bool bits_equal(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+bool all_zero(const nn::Tensor& t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i] != 0.0f) return false;
+  }
+  return true;
+}
 
 TEST(Gumbel, NoiseShapeAndMoments) {
   util::Rng rng(1);
@@ -137,6 +156,42 @@ TEST_F(SupernetTest, WeightParametersCoverAllBlocks) {
   // stem (2) + classifier (2) + 22 layers x 6 MBConv blocks x 4 tensors.
   const std::size_t expected = 2 + 2 + 22 * 6 * 4;
   EXPECT_EQ(net_.weight_parameters().size(), expected);
+}
+
+TEST_F(SupernetTest, PathManifestIsExactlyTheGradientSupport) {
+  // The manifest must name every weight a single-path backward writes
+  // (or the sparse w-step would miss a gradient) and nothing else.
+  const std::vector<nn::VarPtr> params = net_.weight_parameters();
+  const std::size_t skip = space_.ops().skip_index();
+  util::Rng rng(17);
+  std::vector<std::uint32_t> manifest;
+  for (std::size_t trial = 0; trial < 24; ++trial) {
+    std::vector<std::size_t> ops =
+        trial == 0 ? space_.uniform_architecture(skip).ops()
+                   : space_.random_architecture(rng).ops();
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    for (const nn::VarPtr& p : params) p->zero_grad();
+    nn::backward(nn::ops::softmax_cross_entropy(
+        net_.forward_single_path(task_.valid.features, ops),
+        task_.valid.labels));
+    std::vector<std::uint32_t> support;
+    for (std::uint32_t i = 0; i < params.size(); ++i) {
+      if (!all_zero(params[i]->grad)) support.push_back(i);
+    }
+    net_.path_parameters(ops, manifest);
+    EXPECT_EQ(manifest, support);
+
+    // Stem and classifier always; four tensors per non-skip layer and
+    // nothing for a skip.
+    std::size_t blocks = 0;
+    for (const std::size_t op : ops) blocks += op != skip ? 1 : 0;
+    EXPECT_EQ(manifest.size(), 2 + 2 + 4 * blocks);
+    ASSERT_GE(manifest.size(), 4u);
+    EXPECT_EQ(manifest[0], 0u);
+    EXPECT_EQ(manifest[1], 1u);
+    EXPECT_EQ(manifest.back(), params.size() - 1);
+    EXPECT_EQ(manifest[manifest.size() - 2], params.size() - 2);
+  }
 }
 
 class SearchTest : public ::testing::Test {
@@ -269,6 +324,211 @@ TEST_F(SearchTest, FixedLayerNeverChanges) {
   EXPECT_EQ(result.architecture.op_at(0), 0u);
   for (const SearchEpochStats& stats : result.trace) {
     EXPECT_EQ(stats.derived.op_at(0), 0u);
+  }
+}
+
+/// Throws from forward_var, i.e. midway through an alpha step.
+class ThrowingPredictor : public predictors::HardwarePredictor {
+ public:
+  double predict(const space::Architecture&) const override { return 1.0; }
+  nn::VarPtr forward_var(const nn::VarPtr&) const override {
+    throw std::runtime_error("forward_var failed");
+  }
+  std::string unit() const override { return "ms"; }
+};
+
+TEST_F(SearchTest, SparseWStepsMatchDenseReferenceTrajectory) {
+  // A hand-rolled dense w-step (whole-supernet zero_grad, forward and
+  // backward on the path, dense clipped SGD) against the trainer's
+  // path-sparse one, with alpha steps interleaved as in a search.
+  const nn::SyntheticTask task = nn::make_synthetic_task(tiny_task());
+  const LinearOracle predictor(space_, model_);
+  const std::vector<Constraint> constraints = {{&predictor, 22.0}};
+  const SearchTopology topology(space_);
+  constexpr std::size_t kSteps = 200;
+  for (const bool plans : {false, true}) {
+    SCOPED_TRACE(plans ? "plans on" : "plans off");
+    LightNasConfig config = tiny_config(22.0);
+    config.plan.enabled = plans;
+    config.plan.compile_after = 1;
+    SharedWTrainer trainer(topology, task, SupernetConfig{}, config, kSteps);
+    AlphaLambdaHead head(topology, constraints, config);
+
+    SupernetConfig seeded;
+    seeded.seed ^= config.seed;
+    const SurrogateSupernet reference(space_, task.train.feature_dim(),
+                                      trainer.supernet().num_classes(),
+                                      seeded);
+    const std::vector<nn::VarPtr> ref_params = reference.weight_parameters();
+    nn::Sgd ref_sgd(ref_params, config.w_lr, config.w_momentum,
+                    config.w_weight_decay, /*clip_norm=*/5.0);
+    const nn::CosineSchedule ref_schedule(config.w_lr, kSteps);
+
+    util::Rng path_rng(5), train_rng(6), valid_rng(7), alpha_rng(8);
+    nn::Batcher train_batches(task.train, config.batch_size, train_rng);
+    nn::Batcher valid_batches(task.valid, config.batch_size, valid_rng);
+    // A small pool of recurring paths (so plans compile and serve hits)
+    // mixed with fresh ones.
+    std::vector<std::vector<std::size_t>> recurring;
+    for (std::size_t i = 0; i < 6; ++i) {
+      recurring.push_back(space_.random_architecture(path_rng).ops());
+    }
+    const nn::plan::PlanStats before = nn::plan::global_stats();
+    nn::PooledScope pooled(nn::PoolMode::kFresh);
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      const std::vector<std::size_t> ops =
+          s % 3 == 0 ? space_.random_architecture(path_rng).ops()
+                     : recurring[path_rng.uniform_index(recurring.size())];
+      const nn::Dataset batch = train_batches.next();
+      const double loss = trainer.step(batch, ops);
+
+      ref_sgd.zero_grad();
+      const nn::VarPtr ref_loss = nn::ops::softmax_cross_entropy(
+          reference.forward_single_path(batch.features, ops), batch.labels);
+      nn::backward(ref_loss);
+      ref_sgd.set_lr(ref_schedule.lr_at(s));
+      ref_sgd.step();
+      ASSERT_EQ(loss, static_cast<double>(ref_loss->value.item()))
+          << "step " << s;
+
+      if (s % 10 == 9) {
+        head.alpha_step(trainer.supernet(), trainer.weight_parameters(),
+                        valid_batches.next(), 1.0, alpha_rng);
+      }
+    }
+    if (plans) EXPECT_GT((nn::plan::global_stats() - before).hits, 0u);
+
+    const SharedWTrainer::State state = trainer.export_state();
+    const nn::Sgd::State ref_state = ref_sgd.export_state();
+    ASSERT_EQ(state.weights.size(), ref_params.size());
+    for (std::size_t i = 0; i < ref_params.size(); ++i) {
+      SCOPED_TRACE("param " + std::to_string(i));
+      EXPECT_TRUE(bits_equal(state.weights[i], ref_params[i]->value));
+      EXPECT_TRUE(bits_equal(state.velocity[i], ref_state.velocity[i]));
+    }
+  }
+}
+
+TEST_F(SearchTest, AlphaStepMatchesReferenceWithWeightGradientsOn) {
+  // The head's alpha step computes no supernet weight gradient; a
+  // reference rebuilt from public pieces, with weight gradients on,
+  // must reach the same alpha, Adam state and lambdas bit for bit.
+  const nn::SyntheticTask task = nn::make_synthetic_task(tiny_task());
+  const LinearOracle predictor(space_, model_);
+  const std::vector<Constraint> constraints = {{&predictor, 22.0},
+                                               {&predictor, 30.0}};
+  const SearchTopology topology(space_);
+  const LightNasConfig config = tiny_config(22.0);
+  SharedWTrainer trainer(topology, task, SupernetConfig{}, config, 8);
+  AlphaLambdaHead head(topology, constraints, config);
+
+  util::Rng train_rng(3), path_rng(4);
+  nn::Batcher train_batches(task.train, config.batch_size, train_rng);
+  for (std::size_t s = 0; s < 3; ++s) {
+    trainer.step(train_batches.next(),
+                 space_.random_architecture(path_rng).ops());
+  }
+  const std::vector<nn::VarPtr>& weights = trainer.weight_parameters();
+  for (const nn::VarPtr& w : weights) w->zero_grad();
+
+  const std::size_t rows = topology.num_searchable();
+  const nn::VarPtr alpha = nn::make_leaf(
+      nn::Tensor::zeros(rows, topology.num_ops()), "alpha");
+  nn::Adam adam({alpha}, config.alpha_lr, 0.9, 0.999, 1e-8,
+                config.alpha_weight_decay);
+  std::vector<nn::LambdaAscent> lambdas(
+      constraints.size(),
+      nn::LambdaAscent(config.lambda_lr, config.lambda_init));
+
+  util::Rng head_rng(11), ref_rng(11), valid_rng(12);
+  nn::Batcher valid_batches(task.valid, config.batch_size, valid_rng);
+  for (std::size_t k = 0; k < 12; ++k) {
+    SCOPED_TRACE("alpha step " + std::to_string(k));
+    const nn::Dataset batch = valid_batches.next();
+    const double tau = 2.0 - 0.1 * static_cast<double>(k);
+    head.alpha_step(trainer.supernet(), weights, batch, tau, head_rng);
+    for (const nn::VarPtr& w : weights) {
+      ASSERT_TRUE(w->requires_grad) << w->name;
+      ASSERT_TRUE(all_zero(w->grad)) << w->name;
+    }
+
+    // Reference: the same step, op for op, with the weights trainable.
+    const nn::VarPtr p_hat = nn::ops::row_softmax(nn::ops::scale(
+        nn::ops::add(alpha, nn::make_const(gumbel_noise(
+                                rows, topology.num_ops(), ref_rng))),
+        1.0 / tau));
+    std::vector<std::size_t> ops(space_.num_layers(), 0);
+    std::vector<nn::VarPtr> gates(space_.num_layers(), nullptr);
+    for (std::size_t s = 0; s < rows; ++s) {
+      const std::size_t layer = topology.searchable_layers()[s];
+      ops[layer] = p_hat->value.argmax_row(s);
+      const nn::VarPtr soft = nn::ops::select(p_hat, s, ops[layer]);
+      gates[layer] = nn::ops::add_scalar(
+          nn::ops::sub(soft, nn::ops::detach(soft)), 1.0);
+    }
+    nn::VarPtr loss = nn::ops::softmax_cross_entropy(
+        trainer.supernet().forward_single_path(batch.features, ops, gates),
+        batch.labels);
+    const nn::VarPtr encoding =
+        topology.assemble_encoding(nn::ops::binarize_rows_ste(p_hat));
+    for (std::size_t c = 0; c < constraints.size(); ++c) {
+      const nn::VarPtr violation = nn::ops::add_scalar(
+          nn::ops::scale(constraints[c].predictor->forward_var(encoding),
+                         1.0 / constraints[c].target),
+          -1.0);
+      loss = nn::ops::add(loss,
+                          nn::ops::scale(violation, lambdas[c].value()));
+      if (config.penalty_mu != 0.0) {
+        loss = nn::ops::add(
+            loss, nn::ops::scale(nn::ops::mul(violation, violation),
+                                 config.penalty_mu));
+      }
+    }
+    adam.zero_grad();
+    nn::backward(loss);
+    adam.step();
+    const space::Architecture derived = topology.derive(alpha->value);
+    for (std::size_t c = 0; c < constraints.size(); ++c) {
+      lambdas[c].step(constraints[c].predictor->predict(derived) /
+                          constraints[c].target -
+                      1.0);
+    }
+    // The reference did write weight gradients; clear them so the next
+    // head step is checked from all-zero again.
+    bool leaked = false;
+    for (const nn::VarPtr& w : weights) leaked |= !all_zero(w->grad);
+    EXPECT_TRUE(leaked);
+    for (const nn::VarPtr& w : weights) w->zero_grad();
+
+    const AlphaLambdaHead::State state = head.export_state();
+    const nn::Adam::State ref_adam = adam.export_state();
+    EXPECT_TRUE(bits_equal(state.alpha, alpha->value));
+    ASSERT_EQ(state.adam_m.size(), 1u);
+    EXPECT_TRUE(bits_equal(state.adam_m[0], ref_adam.m[0]));
+    EXPECT_TRUE(bits_equal(state.adam_v[0], ref_adam.v[0]));
+    EXPECT_EQ(state.adam_t, ref_adam.t);
+    for (std::size_t c = 0; c < constraints.size(); ++c) {
+      EXPECT_EQ(state.lambdas[c], lambdas[c].value());
+    }
+  }
+}
+
+TEST_F(SearchTest, AlphaStepRestoresTrainableWeightsWhenItThrows) {
+  const nn::SyntheticTask task = nn::make_synthetic_task(tiny_task());
+  const ThrowingPredictor predictor;
+  const std::vector<Constraint> constraints = {{&predictor, 22.0}};
+  const SearchTopology topology(space_);
+  const LightNasConfig config = tiny_config(22.0);
+  SharedWTrainer trainer(topology, task, SupernetConfig{}, config, 8);
+  AlphaLambdaHead head(topology, constraints, config);
+  util::Rng rng(1), batch_rng(2);
+  nn::Batcher valid_batches(task.valid, config.batch_size, batch_rng);
+  EXPECT_THROW(head.alpha_step(trainer.supernet(),
+                               trainer.weight_parameters(),
+                               valid_batches.next(), 1.0, rng),
+               std::runtime_error);
+  for (const nn::VarPtr& w : trainer.weight_parameters()) {
+    EXPECT_TRUE(w->requires_grad) << w->name;
   }
 }
 

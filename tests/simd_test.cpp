@@ -106,18 +106,54 @@ TEST(SimdIsa, SetGlobalValidatesSupport) {
 
 // --- bit-identity: the contract the search trajectory rests on --------
 
+/// C(i, j) as one ascending-p chain from +0 over a_at(i, p) * b_at(p, j)
+/// — the contract every GEMM tier must reproduce bit for bit.
+template <typename AAt, typename BAt>
+nn::Tensor chain_reference(std::size_t m, std::size_t k, std::size_t n,
+                           AAt a_at, BAt b_at) {
+  nn::Tensor c = nn::Tensor::zeros(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) acc += a_at(i, p) * b_at(p, j);
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+/// Plant -0, a subnormal and (on every third shape) a NaN into `t`.
+/// One NaN payload and no infinities, so every NaN result carries the
+/// same bits whichever operand order a compiler picks.
+void plant_specials(nn::Tensor& t, std::size_t salt) {
+  if (t.size() == 0) return;
+  t[0] = -0.0f;
+  t[t.size() - 1] = 1e-40f;  // subnormal
+  if (t.size() > 2) t[t.size() / 2] = -3e-39f;
+  if (salt % 3 == 0) {
+    t[salt % t.size()] = std::numeric_limits<float>::quiet_NaN();
+  }
+}
+
 TEST(SimdIdentity, OddShapeGemmSweepMatchesScalarBitwise) {
-  if (!avx2_usable()) GTEST_SKIP() << "no AVX2 tier on this host/build";
+  // m < 4 row tails, n % 8 column tails, k in {0, 1} and -0 /
+  // subnormal / NaN operands; the scalar tier is checked against the
+  // sequential chain, the AVX2 tier against the scalar tier.
   const std::size_t dims[] = {1, 2, 3, 5, 7, 8, 9, 15, 16, 17};
+  const std::size_t depths[] = {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17};
   for (const std::size_t m : dims) {
-    for (const std::size_t k : dims) {
+    for (const std::size_t k : depths) {
       for (const std::size_t n : dims) {
         SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
                      " n=" + std::to_string(n));
-        const nn::Tensor a = random_tensor(m, k, 10 + m * 1000 + k);
-        const nn::Tensor b = random_tensor(k, n, 20 + k * 1000 + n);
-        const nn::Tensor at = random_tensor(k, m, 30 + m + k * 31);
-        const nn::Tensor bt = random_tensor(n, k, 40 + n + k * 31);
+        nn::Tensor a = random_tensor(m, k, 10 + m * 1000 + k);
+        nn::Tensor b = random_tensor(k, n, 20 + k * 1000 + n);
+        nn::Tensor at = random_tensor(k, m, 30 + m + k * 31);
+        nn::Tensor bt = random_tensor(n, k, 40 + n + k * 31);
+        plant_specials(a, m + k + n);
+        plant_specials(b, m * k + n);
+        plant_specials(at, m + k * n);
+        plant_specials(bt, m * n + k);
         nn::Tensor s_nn, s_tn, s_nt;
         {
           ScopedIsa scalar(IsaLevel::kScalar);
@@ -125,6 +161,22 @@ TEST(SimdIdentity, OddShapeGemmSweepMatchesScalarBitwise) {
           s_tn = nn::matmul_tn(at, b);
           s_nt = nn::matmul_nt(a, bt);
         }
+        const auto a_at = [&](std::size_t i, std::size_t p) {
+          return a.at(i, p);
+        };
+        const auto at_at = [&](std::size_t i, std::size_t p) {
+          return at.at(p, i);
+        };
+        const auto b_at = [&](std::size_t p, std::size_t j) {
+          return b.at(p, j);
+        };
+        const auto bt_at = [&](std::size_t p, std::size_t j) {
+          return bt.at(j, p);
+        };
+        EXPECT_TRUE(bits_equal(s_nn, chain_reference(m, k, n, a_at, b_at)));
+        EXPECT_TRUE(bits_equal(s_tn, chain_reference(m, k, n, at_at, b_at)));
+        EXPECT_TRUE(bits_equal(s_nt, chain_reference(m, k, n, a_at, bt_at)));
+        if (!avx2_usable()) continue;
         ScopedIsa vec(IsaLevel::kAvx2);
         EXPECT_TRUE(bits_equal(s_nn, nn::matmul(a, b)));
         EXPECT_TRUE(bits_equal(s_tn, nn::matmul_tn(at, b)));
