@@ -17,25 +17,6 @@ nn::VarPtr hard_gate(const nn::VarPtr& soft_prob) {
       nn::ops::sub(soft_prob, nn::ops::detach(soft_prob)), 1.0);
 }
 
-/// Holds a set of parameters at requires_grad = false for its lifetime,
-/// so a backward through them computes no gradient for them; the
-/// destructor marks them trainable again, on unwinding too.
-class FrozenParams {
- public:
-  explicit FrozenParams(const std::vector<nn::VarPtr>& params)
-      : params_(params) {
-    for (const nn::VarPtr& p : params_) p->requires_grad = false;
-  }
-  ~FrozenParams() {
-    for (const nn::VarPtr& p : params_) p->requires_grad = true;
-  }
-  FrozenParams(const FrozenParams&) = delete;
-  FrozenParams& operator=(const FrozenParams&) = delete;
-
- private:
-  const std::vector<nn::VarPtr>& params_;
-};
-
 std::size_t infer_num_classes(const nn::SyntheticTask& task) {
   return task.train.labels.empty()
              ? 10
@@ -268,7 +249,7 @@ double AlphaLambdaHead::alpha_step(
   const std::vector<std::size_t>& searchable =
       topology_->searchable_layers();
   const std::vector<Constraint>& constraints = *constraints_;
-  const FrozenParams frozen(weight_params);
+  const nn::RequiresGradScope frozen(weight_params, false);
 
   const nn::VarPtr p_hat = nn::ops::row_softmax(nn::ops::scale(
       nn::ops::add(alpha_, nn::make_const(gumbel_noise(

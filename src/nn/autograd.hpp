@@ -193,4 +193,25 @@ void discard_tape_log();
 /// Number of nodes reachable from `root` (diagnostics / tests).
 std::size_t graph_size(const VarPtr& root);
 
+/// Sets requires_grad = `value` on a set of parameters for its lifetime
+/// and `!value` on destruction, on unwinding too. With false, a backward
+/// through the parameters computes no gradient for them. `params` must
+/// outlive the scope.
+class RequiresGradScope {
+ public:
+  RequiresGradScope(const std::vector<VarPtr>& params, bool value)
+      : params_(params), value_(value) {
+    for (const VarPtr& p : params_) p->requires_grad = value_;
+  }
+  ~RequiresGradScope() {
+    for (const VarPtr& p : params_) p->requires_grad = !value_;
+  }
+  RequiresGradScope(const RequiresGradScope&) = delete;
+  RequiresGradScope& operator=(const RequiresGradScope&) = delete;
+
+ private:
+  const std::vector<VarPtr>& params_;
+  bool value_;
+};
+
 }  // namespace lightnas::nn

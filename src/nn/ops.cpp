@@ -68,6 +68,7 @@ VarPtr sub(const VarPtr& a, const VarPtr& b) {
   out.sub_inplace(b->value);
   return make_node(std::move(out), {a, b}, [a, b](Var& node) {
     accumulate(a, node.grad);
+    if (!wants_grad(b)) return;
     Tensor neg = node.grad;
     neg.scale_inplace(-1.0f);
     accumulate(b, neg);
@@ -81,9 +82,12 @@ VarPtr mul(const VarPtr& a, const VarPtr& b) {
   Tensor out = a->value;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] *= b->value[i];
   return make_node(std::move(out), {a, b}, [a, b](Var& node) {
-    Tensor ga = node.grad;
-    for (std::size_t i = 0; i < ga.size(); ++i) ga[i] *= b->value[i];
-    accumulate(a, ga);
+    if (wants_grad(a)) {
+      Tensor ga = node.grad;
+      for (std::size_t i = 0; i < ga.size(); ++i) ga[i] *= b->value[i];
+      accumulate(a, ga);
+    }
+    if (!wants_grad(b)) return;
     Tensor gb = node.grad;
     for (std::size_t i = 0; i < gb.size(); ++i) gb[i] *= a->value[i];
     accumulate(b, gb);
@@ -100,11 +104,13 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
   VarPtr node = make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
     accumulate(x, node.grad);
     if (!wants_grad(bias)) return;
-    Tensor gb = Tensor::zeros(1, node.grad.cols());
-    for (std::size_t r = 0; r < node.grad.rows(); ++r) {
-      for (std::size_t c = 0; c < node.grad.cols(); ++c) {
-        gb[c] += node.grad.at(r, c);
-      }
+    // Each column sums its rows in ascending order from +0.
+    const std::size_t cols = node.grad.cols();
+    Tensor gb = Tensor::zeros(1, cols);
+    float* __restrict sum = gb.data().data();
+    const float* row = node.grad.data().data();
+    for (std::size_t r = 0; r < node.grad.rows(); ++r, row += cols) {
+      for (std::size_t c = 0; c < cols; ++c) sum[c] += row[c];
     }
     accumulate(bias, gb);
   });
@@ -151,9 +157,12 @@ VarPtr mul_scalar(const VarPtr& x, const VarPtr& scalar) {
   Tensor out = x->value;
   out.scale_inplace(s);
   return make_node(std::move(out), {x, scalar}, [x, scalar, s](Var& node) {
-    Tensor gx = node.grad;
-    gx.scale_inplace(s);
-    accumulate(x, gx);
+    if (wants_grad(x)) {
+      Tensor gx = node.grad;
+      gx.scale_inplace(s);
+      accumulate(x, gx);
+    }
+    if (!wants_grad(scalar)) return;
     float gs = 0.0f;
     for (std::size_t i = 0; i < node.grad.size(); ++i) {
       gs += node.grad[i] * x->value[i];
@@ -166,9 +175,13 @@ VarPtr relu(const VarPtr& x) {
   Tensor out = x->value;
   out.relu_inplace();
   VarPtr node = make_node(std::move(out), {x}, [x](Var& node) {
+    // A select, not a branch: ReLU masks defeat branch prediction, and
+    // the select vectorizes. +0 where x <= 0; a NaN x keeps g.
     Tensor g = node.grad;
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      if (x->value[i] <= 0.0f) g[i] = 0.0f;
+    const float* __restrict xv = x->value.data().data();
+    float* __restrict gv = g.data().data();
+    for (std::size_t i = 0, n = g.size(); i < n; ++i) {
+      gv[i] = xv[i] <= 0.0f ? 0.0f : gv[i];
     }
     accumulate(x, g);
   });
@@ -208,28 +221,29 @@ VarPtr row_softmax(const VarPtr& x) {
   Tensor out = x->value;
   const std::size_t cols = out.cols();
   for (std::size_t r = 0; r < out.rows(); ++r) {
-    float mx = out.at(r, 0);
-    for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, out.at(r, c));
+    float* row = out.data().data() + r * cols;
+    float mx = row[0];
+    for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
     float total = 0.0f;
     for (std::size_t c = 0; c < cols; ++c) {
-      const float e = std::exp(out.at(r, c) - mx);
-      out.at(r, c) = e;
+      const float e = std::exp(row[c] - mx);
+      row[c] = e;
       total += e;
     }
-    for (std::size_t c = 0; c < cols; ++c) out.at(r, c) /= total;
+    for (std::size_t c = 0; c < cols; ++c) row[c] /= total;
   }
   auto node = make_node(out, {x}, [x, out](Var& n) {
     // dL/dx_j = s_j * (g_j - sum_k g_k s_k), per row; every element is
     // assigned below.
-    Tensor gx = Tensor::uninitialized(out.rows(), out.cols());
+    const std::size_t cols = out.cols();
+    Tensor gx = Tensor::uninitialized(out.rows(), cols);
     for (std::size_t r = 0; r < out.rows(); ++r) {
+      const float* s = out.data().data() + r * cols;
+      const float* g = n.grad.data().data() + r * cols;
+      float* __restrict d = gx.data().data() + r * cols;
       float dot = 0.0f;
-      for (std::size_t c = 0; c < out.cols(); ++c) {
-        dot += n.grad.at(r, c) * out.at(r, c);
-      }
-      for (std::size_t c = 0; c < out.cols(); ++c) {
-        gx.at(r, c) = out.at(r, c) * (n.grad.at(r, c) - dot);
-      }
+      for (std::size_t c = 0; c < cols; ++c) dot += g[c] * s[c];
+      for (std::size_t c = 0; c < cols; ++c) d[c] = s[c] * (g[c] - dot);
     }
     accumulate(x, gx);
   });
@@ -286,25 +300,18 @@ VarPtr vstack(const std::vector<VarPtr>& blocks) {
     rows += b->value.rows();
   }
   Tensor out = Tensor::uninitialized(rows, cols);
-  std::size_t row = 0;
+  float* dst = out.data().data();
   for (const VarPtr& b : blocks) {
-    for (std::size_t r = 0; r < b->value.rows(); ++r, ++row) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        out.at(row, c) = b->value.at(r, c);
-      }
-    }
+    dst = std::copy(b->value.data().begin(), b->value.data().end(), dst);
   }
   // Init-capture: a plain `[blocks]` capture of a const& parameter makes
   // a const closure member, which would force BackwardFn moves to copy.
   return make_node(std::move(out), blocks, [blocks = blocks](Var& node) {
-    std::size_t row = 0;
+    const float* src = node.grad.data().data();
     for (const VarPtr& b : blocks) {
       Tensor g = Tensor::uninitialized(b->value.rows(), b->value.cols());
-      for (std::size_t r = 0; r < g.rows(); ++r, ++row) {
-        for (std::size_t c = 0; c < g.cols(); ++c) {
-          g.at(r, c) = node.grad.at(row, c);
-        }
-      }
+      std::copy(src, src + g.size(), g.data().data());
+      src += g.size();
       accumulate(b, g);
     }
   });
@@ -326,19 +333,14 @@ VarPtr slice_rows(const VarPtr& x, std::size_t start, std::size_t count) {
                  "ops::slice_rows: [" + std::to_string(start) + ", " +
                      std::to_string(start + count) + ") of " +
                      x->value.shape_string());
-  Tensor out = Tensor::uninitialized(count, x->value.cols());
-  for (std::size_t r = 0; r < count; ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      out.at(r, c) = x->value.at(start + r, c);
-    }
-  }
+  const std::size_t cols = x->value.cols();
+  Tensor out = Tensor::uninitialized(count, cols);
+  const float* src = x->value.data().data() + start * cols;
+  std::copy(src, src + count * cols, out.data().data());
   return make_node(std::move(out), {x}, [x, start, count](Var& node) {
     Tensor g = Tensor::zeros(x->value.rows(), x->value.cols());
-    for (std::size_t r = 0; r < count; ++r) {
-      for (std::size_t c = 0; c < g.cols(); ++c) {
-        g.at(start + r, c) = node.grad.at(r, c);
-      }
-    }
+    std::copy(node.grad.data().begin(), node.grad.data().end(),
+              g.data().data() + start * g.cols());
     accumulate(x, g);
   });
 }
@@ -360,18 +362,18 @@ VarPtr softmax_cross_entropy(const VarPtr& logits,
                    "ops::softmax_cross_entropy: label " +
                        std::to_string(labels[r]) + " >= " +
                        std::to_string(classes) + " classes");
-    float mx = logits->value.at(r, 0);
-    for (std::size_t c = 1; c < classes; ++c) {
-      mx = std::max(mx, logits->value.at(r, c));
-    }
+    const float* in = logits->value.data().data() + r * classes;
+    float* p = probs.data().data() + r * classes;
+    float mx = in[0];
+    for (std::size_t c = 1; c < classes; ++c) mx = std::max(mx, in[c]);
     float denom = 0.0f;
     for (std::size_t c = 0; c < classes; ++c) {
-      const float e = std::exp(logits->value.at(r, c) - mx);
-      probs.at(r, c) = e;
+      const float e = std::exp(in[c] - mx);
+      p[c] = e;
       denom += e;
     }
-    for (std::size_t c = 0; c < classes; ++c) probs.at(r, c) /= denom;
-    total_loss -= std::log(std::max(probs.at(r, labels[r]), 1e-12f));
+    for (std::size_t c = 0; c < classes; ++c) p[c] /= denom;
+    total_loss -= std::log(std::max(p[labels[r]], 1e-12f));
   }
   Tensor out = Tensor::scalar(
       static_cast<float>(total_loss / static_cast<double>(batch)));
@@ -413,6 +415,7 @@ VarPtr mse_loss(const VarPtr& pred, const VarPtr& target) {
     gp.sub_inplace(target->value);
     gp.scale_inplace(g);
     accumulate(pred, gp);
+    if (!wants_grad(target)) return;
     Tensor gt = gp;
     gt.scale_inplace(-1.0f);
     accumulate(target, gt);

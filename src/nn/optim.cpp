@@ -249,28 +249,36 @@ void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  // Hoisted, with the tensors behind __restrict pointers, so the loop
+  // vectorizes (GCC unswitches it on wd); per element it still runs
+  // the double chain g (+ wd*w), both moments, flush_below, m/bc1,
+  // v/bc2, lr*mhat/(sqrt(vhat)+eps) and the float subtract, and SSE2
+  // lanes round each step as scalar code does (see CMakeLists.txt).
+  const double beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
+  const double one_m_beta1 = 1.0 - beta1, one_m_beta2 = 1.0 - beta2;
+  const double wd = weight_decay_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Var& p = *params_[i];
     p.ensure_grad();
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      double g = p.grad[j];
-      if (weight_decay_ != 0.0) {
-        g += weight_decay_ * static_cast<double>(p.value[j]);
-      }
+    float* __restrict w = p.value.data().data();
+    const float* __restrict grad = p.grad.data().data();
+    float* __restrict m = m_[i].data().data();
+    float* __restrict v = v_[i].data().data();
+    for (std::size_t j = 0, n = p.value.size(); j < n; ++j) {
+      double g = grad[j];
+      if (wd != 0.0) g += wd * static_cast<double>(w[j]);
       // Weights and moments that decay toward zero (dead units under
       // weight decay) reach exactly zero instead of the slow subnormal
       // range; see flush_below for the two floors.
-      m_[i][j] = flush_below(
-          static_cast<float>(beta1_ * m_[i][j] + (1.0 - beta1_) * g),
+      m[j] = flush_below(
+          static_cast<float>(beta1 * m[j] + one_m_beta1 * g), kMinNormal);
+      v[j] = flush_below(
+          static_cast<float>(beta2 * v[j] + one_m_beta2 * g * g),
           kMinNormal);
-      v_[i][j] = flush_below(
-          static_cast<float>(beta2_ * v_[i][j] + (1.0 - beta2_) * g * g),
-          kMinNormal);
-      const double mhat = m_[i][j] / bc1;
-      const double vhat = v_[i][j] / bc2;
-      p.value[j] = flush_below(
-          p.value[j] -
-              static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_)),
+      const double mhat = m[j] / bc1;
+      const double vhat = v[j] / bc2;
+      w[j] = flush_below(
+          w[j] - static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps)),
           kMinWeight);
     }
   }

@@ -147,16 +147,6 @@ Tensor Tensor::from_rows(const std::vector<std::vector<float>>& rows) {
   return t;
 }
 
-float& Tensor::at(std::size_t r, std::size_t c) {
-  assert(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-float Tensor::at(std::size_t r, std::size_t c) const {
-  assert(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 float Tensor::item() const {
   assert(rows_ == 1 && cols_ == 1);
   return data_[0];
@@ -169,13 +159,17 @@ void Tensor::fill(float value) {
 void Tensor::add_inplace(const Tensor& other) {
   LIGHTNAS_CHECK(same_shape(other), "add_inplace: " + shape_string() +
                                         " += " + other.shape_string());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  float* __restrict d = data_.data();
+  const float* __restrict o = other.data_.data();
+  for (std::size_t i = 0, n = data_.size(); i < n; ++i) d[i] += o[i];
 }
 
 void Tensor::sub_inplace(const Tensor& other) {
   LIGHTNAS_CHECK(same_shape(other), "sub_inplace: " + shape_string() +
                                         " -= " + other.shape_string());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
+  float* __restrict d = data_.data();
+  const float* __restrict o = other.data_.data();
+  for (std::size_t i = 0, n = data_.size(); i < n; ++i) d[i] -= o[i];
 }
 
 void Tensor::scale_inplace(float s) {
@@ -185,9 +179,9 @@ void Tensor::scale_inplace(float s) {
 void Tensor::axpy_inplace(float s, const Tensor& other) {
   LIGHTNAS_CHECK(same_shape(other), "axpy_inplace: " + shape_string() +
                                         " += s * " + other.shape_string());
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += s * other.data_[i];
-  }
+  float* __restrict d = data_.data();
+  const float* __restrict o = other.data_.data();
+  for (std::size_t i = 0, n = data_.size(); i < n; ++i) d[i] += s * o[i];
 }
 
 void Tensor::add_row_inplace(const Tensor& row) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -66,8 +67,14 @@ class Tensor {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
 
-  float& at(std::size_t r, std::size_t c);
-  float at(std::size_t r, std::size_t c) const;
+  float& at(std::size_t r, std::size_t c) {
+    assert(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  float at(std::size_t r, std::size_t c) const {
+    assert(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
 

@@ -31,6 +31,9 @@ MlpPredictor::MlpPredictor(std::size_t num_layers, std::size_t num_ops,
   util::Rng rng(seed);
   mlp_ = std::make_unique<nn::Mlp>(layer_sizes(input_dim()), rng,
                                    "latency_mlp");
+  // Frozen outside train(): a backward through forward_var (the search's
+  // alpha step) then computes no gradient for the predictor's weights.
+  for (const nn::VarPtr& p : mlp_->parameters()) p->requires_grad = false;
 }
 
 double MlpPredictor::train(const MeasurementDataset& data,
@@ -46,13 +49,15 @@ double MlpPredictor::train(const MeasurementDataset& data,
   const nn::PooledScope pool_scope(config.pool_tensors
                                        ? nn::PoolMode::kInherit
                                        : nn::PoolMode::kDisabled);
+  const std::vector<nn::VarPtr> params = mlp_->parameters();
+  const nn::RequiresGradScope trainable(params, true);
 
   target_mean_ = util::mean(data.targets);
   target_std_ = std::max(util::stddev(data.targets), 1e-6);
 
   util::Rng rng(config.seed);
-  nn::Adam optimizer(mlp_->parameters(), config.learning_rate, 0.9, 0.999,
-                     1e-8, config.weight_decay);
+  nn::Adam optimizer(params, config.learning_rate, 0.9, 0.999, 1e-8,
+                     config.weight_decay);
   const nn::CosineSchedule schedule(config.learning_rate,
                                     config.epochs + 1);
 

@@ -84,6 +84,8 @@ class MlpPredictor : public HardwarePredictor {
 
   bool is_trained() const { return trained_; }
   std::size_t num_parameters() const { return mlp_->num_parameters(); }
+  /// The MLP's parameters; requires_grad is false outside train().
+  std::vector<nn::VarPtr> parameters() const { return mlp_->parameters(); }
 
   /// Serializable snapshot of a trained predictor (weights + target
   /// normalization). Used by io::save_predictor / io::load_predictor.

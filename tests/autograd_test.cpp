@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/autograd.hpp"
 #include "nn/gradcheck.hpp"
@@ -219,6 +223,68 @@ TEST(Ops, ReluClampsNegatives) {
   VarPtr x = make_leaf(Tensor::from_rows({{-1.0f, 2.0f}}));
   EXPECT_FLOAT_EQ(relu(x)->value.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(relu(x)->value.at(0, 1), 2.0f);
+}
+
+bool same_bits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(Ops, ReluBackwardMatchesBranchySemanticsBitForBit) {
+  // Every x against every upstream gradient: the gradient is +0 where
+  // x <= 0 (-0 included) and passes through unchanged otherwise, a NaN
+  // x included.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> xs = {-0.0f, 0.0f, nan,  inf, -inf,
+                                 sub,   -sub, 1.0f, -2.0f};
+  const std::vector<float> gs = {nan, -0.0f, 1.5f, -3.0f};
+  Tensor x(1, xs.size() * gs.size());
+  Tensor upstream(1, x.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t k = 0; k < gs.size(); ++k) {
+      x[i * gs.size() + k] = xs[i];
+      upstream[i * gs.size() + k] = gs[k];
+    }
+  }
+  VarPtr leaf = make_leaf(std::move(x));
+  // Pre-filled with -0 so accumulating into it keeps every bit (-0 + y
+  // is y for every y, -0 included).
+  leaf->grad = Tensor::full(1, leaf->value.size(), -0.0f);
+  // The upstream gradient is set directly: one that arrives through
+  // backward() was accumulated from +0 and cannot be -0.
+  const VarPtr out = relu(leaf);
+  out->grad = upstream;
+  out->backward_fn(*out);
+  for (std::size_t i = 0; i < leaf->value.size(); ++i) {
+    float expected = upstream[i];
+    if (leaf->value[i] <= 0.0f) expected = 0.0f;
+    EXPECT_TRUE(same_bits(leaf->grad[i], expected))
+        << "x=" << leaf->value[i] << " g=" << upstream[i]
+        << " got=" << leaf->grad[i];
+  }
+}
+
+TEST(Ops, AddBiasGradientIsAscendingRowChainPerColumn) {
+  // Magnitudes spread over 1e-6..1e8 make the sum order-sensitive.
+  for (const std::size_t cols : {1u, 7u, 8u, 9u, 33u}) {
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    const std::size_t rows = 13;
+    util::Rng rng(cols);
+    Tensor upstream(rows, cols);
+    for (std::size_t i = 0; i < upstream.size(); ++i) {
+      upstream[i] = static_cast<float>(
+          rng.normal() * std::pow(10.0, rng.uniform(-6.0, 8.0)));
+    }
+    VarPtr bias = make_leaf(Tensor::zeros(1, cols));
+    backward(sum_all(mul(add_bias(random_leaf(rows, cols, 3), bias),
+                         make_const(upstream))));
+    for (std::size_t c = 0; c < cols; ++c) {
+      float chain = 0.0f;
+      for (std::size_t r = 0; r < rows; ++r) chain += upstream.at(r, c);
+      EXPECT_TRUE(same_bits(bias->grad[c], chain)) << "column " << c;
+    }
+  }
 }
 
 TEST(Ops, RowSoftmaxRowsSumToOne) {

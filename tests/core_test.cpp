@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,6 +11,8 @@
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
 #include "nn/pool.hpp"
+#include "hw/simulator.hpp"
+#include "predictors/dataset.hpp"
 #include "predictors/mlp_predictor.hpp"
 #include "util/stats.hpp"
 
@@ -509,6 +512,59 @@ TEST_F(SearchTest, AlphaStepMatchesReferenceWithWeightGradientsOn) {
     EXPECT_EQ(state.adam_t, ref_adam.t);
     for (std::size_t c = 0; c < constraints.size(); ++c) {
       EXPECT_EQ(state.lambdas[c], lambdas[c].value());
+    }
+  }
+}
+
+TEST_F(SearchTest, AlphaStepsComputeNoPredictorWeightGradients) {
+  // The constraint predictor is trained once and then only read: its
+  // weights stay frozen outside train(), so alpha steps add nothing to
+  // their gradients.
+  hw::HardwareSimulator device(hw::DeviceProfile::jetson_xavier_maxn(), 8,
+                               42);
+  util::Rng data_rng(5);
+  const predictors::MeasurementDataset data =
+      predictors::build_measurement_dataset(
+          space_, device, 64, predictors::Metric::kLatencyMs, data_rng);
+  predictors::MlpPredictor predictor(space_.num_layers(), space_.num_ops());
+  predictors::MlpTrainConfig train_config;
+  train_config.epochs = 2;
+  predictor.train(data, train_config);
+  for (const nn::VarPtr& p : predictor.parameters()) {
+    ASSERT_FALSE(p->requires_grad) << p->name;
+    p->zero_grad();  // the last training step's gradient
+  }
+  // Loaded from a snapshot, as the CLI does: never trained here.
+  predictors::MlpPredictor loaded =
+      predictors::MlpPredictor::from_state(predictor.export_state());
+
+  const nn::SyntheticTask task = nn::make_synthetic_task(tiny_task());
+  // Targets below every prediction, so the lambdas grow and the cost
+  // terms carry gradient into the predictors.
+  const std::vector<Constraint> constraints = {{&predictor, 10.0},
+                                               {&loaded, 12.0}};
+  const SearchTopology topology(space_);
+  const LightNasConfig config = tiny_config(22.0);
+  SharedWTrainer trainer(topology, task, SupernetConfig{}, config, 8);
+  AlphaLambdaHead head(topology, constraints, config);
+  util::Rng rng(1), batch_rng(2);
+  nn::Batcher valid_batches(task.valid, config.batch_size, batch_rng);
+  const nn::Tensor alpha_before = head.export_state().alpha;
+  for (std::size_t k = 0; k < 6; ++k) {
+    head.alpha_step(trainer.supernet(), trainer.weight_parameters(),
+                    valid_batches.next(), 1.0, rng);
+  }
+  const AlphaLambdaHead::State state = head.export_state();
+  EXPECT_FALSE(bits_equal(state.alpha, alpha_before));
+  EXPECT_GT(state.lambdas[0], 0.0);
+  EXPECT_GT(state.lambdas[1], 0.0);
+  for (const predictors::MlpPredictor* mlp : {&predictor, &loaded}) {
+    for (const nn::VarPtr& p : mlp->parameters()) {
+      EXPECT_FALSE(p->requires_grad) << p->name;
+      for (std::size_t i = 0; i < p->grad.size(); ++i) {
+        ASSERT_TRUE(p->grad[i] == 0.0f && !std::signbit(p->grad[i]))
+            << p->name << "[" << i << "] = " << p->grad[i];
+      }
     }
   }
 }

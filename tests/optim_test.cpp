@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/autograd.hpp"
 #include "nn/optim.hpp"
@@ -235,6 +238,102 @@ TEST(Adam, WeightDecayDrivesWeightAndMomentsToExactZero) {
                         state.v[0].item()}) {
     EXPECT_EQ(x, 0.0f);
     EXPECT_FALSE(std::signbit(x));
+  }
+}
+
+// Adam::step's element loop as it was written before it was
+// vectorized: one scalar double chain per element. The oracle for the
+// vectorized update.
+void reference_adam_step(std::vector<float>& w, const std::vector<float>& g,
+                         std::vector<float>& m, std::vector<float>& v,
+                         std::size_t t, double lr, double beta1,
+                         double beta2, double eps, double weight_decay) {
+  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    double gj = g[j];
+    if (weight_decay != 0.0) {
+      gj += weight_decay * static_cast<double>(w[j]);
+    }
+    m[j] = flush_below(
+        static_cast<float>(beta1 * m[j] + (1.0 - beta1) * gj), kMinNormal);
+    v[j] = flush_below(
+        static_cast<float>(beta2 * v[j] + (1.0 - beta2) * gj * gj),
+        kMinNormal);
+    const double mhat = m[j] / bc1;
+    const double vhat = v[j] / bc2;
+    w[j] = flush_below(
+        w[j] - static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps)),
+        kMinWeight);
+  }
+}
+
+bool bits_equal(const std::vector<float>& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data().data(), a.size() * sizeof(float)) ==
+             0;
+}
+
+TEST(Adam, VectorizedStepMatchesScalarReferenceBitForBit) {
+  const float sub = std::numeric_limits<float>::denorm_min();
+  // Gradients: signed zeros, subnormals, huge values and ordinary ones.
+  const std::vector<float> special_grads = {
+      0.0f, -0.0f, sub, -sub, 1e-40f, -3e-39f, 1e30f, -1e30f, 1e-30f};
+  // Weights on both sides of both flush floors (2^-63 and FLT_MIN).
+  const std::vector<float> start_weights = {
+      1.0f,     -0.5f,   1e-3f,     0x1p-60f,   0x1p-63f, -0x1p-63f,
+      0x1p-64f, 1e-25f,  0x1p-125f, -0x1p-126f, 3.0f,     0.0f,
+      -0.0f,    0x1p-62f, -2e-19f,  1e-40f};
+  for (const double weight_decay : {0.0, 0.05}) {
+    SCOPED_TRACE("weight_decay " + std::to_string(weight_decay));
+    // Odd sizes so every vector remainder path runs.
+    const std::vector<std::size_t> sizes = {1, 3, 8, 37};
+    std::vector<VarPtr> params;
+    std::vector<std::vector<float>> w, m, v;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      Tensor value(1, sizes[i]);
+      for (std::size_t j = 0; j < sizes[i]; ++j) {
+        value[j] = start_weights[(i * 5 + j) % start_weights.size()];
+      }
+      w.emplace_back(value.data().begin(), value.data().end());
+      m.emplace_back(sizes[i], 0.0f);
+      v.emplace_back(sizes[i], 0.0f);
+      params.push_back(make_leaf(std::move(value)));
+    }
+    const double lr = 1e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+    Adam opt(params, lr, beta1, beta2, eps, weight_decay);
+    util::Rng rng(23);
+    std::size_t weights_flushed = 0;
+    for (std::size_t step = 1; step <= 500; ++step) {
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        // Element 0 of each tensor only ever sees +0, as a dead unit's
+        // weight does, so only decay and momentum move it.
+        std::vector<float> g(sizes[i], 0.0f);
+        for (std::size_t j = 1; j < g.size(); ++j) {
+          g[j] = rng.uniform() < 0.4
+                     ? special_grads[rng.uniform_index(special_grads.size())]
+                     : static_cast<float>(rng.normal());
+        }
+        params[i]->ensure_grad();
+        std::copy(g.begin(), g.end(), params[i]->grad.data().begin());
+        const std::vector<float> before = w[i];
+        reference_adam_step(w[i], g, m[i], v[i], step, lr, beta1, beta2,
+                            eps, weight_decay);
+        for (std::size_t j = 0; j < w[i].size(); ++j) {
+          weights_flushed += before[j] != 0.0f && w[i][j] == 0.0f;
+        }
+      }
+      opt.step();
+      const Adam::State state = opt.export_state();
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        SCOPED_TRACE("step " + std::to_string(step) + " param " +
+                     std::to_string(i));
+        ASSERT_TRUE(bits_equal(w[i], params[i]->value));
+        ASSERT_TRUE(bits_equal(m[i], state.m[i]));
+        ASSERT_TRUE(bits_equal(v[i], state.v[i]));
+      }
+    }
+    EXPECT_GT(weights_flushed, 0u);
   }
 }
 
