@@ -1,11 +1,10 @@
 // Training-stack throughput: predictor training and search steps,
-// serial vs. 2/4/8 parallel GEMM lanes, plus a plan-compiled search leg.
+// serial vs. 2/4/8 parallel GEMM lanes.
 //
 // Three claims are checked, with different strictness:
-//  - Determinism (always enforced, any hardware): the threaded, the
-//    repeated, and the plan-compiled search paths must all produce
-//    bit-identical results to the serial dynamic path. A mismatch
-//    exits 1.
+//  - Determinism (always enforced, any hardware): the threaded and the
+//    repeated search paths must produce bit-identical results to the
+//    serial path. A mismatch exits 1.
 //  - Pool steady state (always enforced): repeating the identical
 //    serial search over the bench's long-lived warmed pool must incur
 //    zero buffer misses. The cumulative process-wide miss counter is
@@ -119,14 +118,12 @@ struct SearchRun {
   double seconds = 0.0;
   std::string arch;
   double predicted_cost = 0.0;
-  core::RunHealth health;
 };
 
 SearchRun run_search(const space::SearchSpace& space,
                      const predictors::MlpPredictor& predictor,
                      const nn::SyntheticTask& task, bool smoke,
-                     const nn::ParallelContext* parallel,
-                     bool planned = false) {
+                     const nn::ParallelContext* parallel) {
   core::LightNasConfig config;
   config.seed = 3;
   config.epochs = smoke ? 2 : 6;
@@ -136,14 +133,6 @@ SearchRun run_search(const space::SearchSpace& space,
   config.batch_size = smoke ? 16 : 48;
   config.target = 24.0;
   config.parallel = parallel;
-  // Pin the plan compiler explicitly per leg (ignore LIGHTNAS_PLAN) so
-  // the dynamic legs stay dynamic and the planned leg is always planned,
-  // whatever the environment says. compile_after=1 (compile on first
-  // request) because short searches rarely repeat a Gumbel path: with
-  // the default trigger of 3 structural hits nothing would ever compile
-  // and the leg would exercise no plan machinery at all.
-  config.plan.enabled = planned;
-  config.plan.compile_after = 1;
   core::LightNas engine(space, predictor, task, core::SupernetConfig{},
                         config);
   const double start = now_seconds();
@@ -152,7 +141,6 @@ SearchRun run_search(const space::SearchSpace& space,
   run.seconds = now_seconds() - start;
   run.arch = result.architecture.serialize();
   run.predicted_cost = result.final_predicted_cost;
-  run.health = result.health;
   return run;
 }
 
@@ -254,16 +242,6 @@ int main(int argc, char** argv) {
       search_serial.predicted_cost == search_parallel.predicted_cost;
   identical = identical && search_same;
 
-  // Planned leg: same serial search with the plan compiler on. The plan
-  // contract (bench/plan_compile, tests/plan_test) makes this trajectory
-  // bit-identical to the dynamic one, so it joins the identity gate.
-  const SearchRun search_planned =
-      run_search(space, predictor, task, smoke, nullptr, /*planned=*/true);
-  const bool planned_same =
-      search_serial.arch == search_planned.arch &&
-      search_serial.predicted_cost == search_planned.predicted_cost;
-  identical = identical && planned_same;
-
   util::Table search_table({"config", "search (s)", "speedup", "derived"});
   search_table.add_row({"serial",
                         util::fmt_double(search_serial.seconds, 2), "1.0",
@@ -276,10 +254,6 @@ int main(int argc, char** argv) {
       {"4 threads", util::fmt_double(search_parallel.seconds, 2),
        util::fmt_double(search_serial.seconds / search_parallel.seconds, 2),
        search_same ? "bit-identical" : "MISMATCH"});
-  search_table.add_row(
-      {"planned", util::fmt_double(search_planned.seconds, 2),
-       util::fmt_double(search_serial.seconds / search_planned.seconds, 2),
-       planned_same ? "bit-identical" : "MISMATCH"});
   std::printf("\nsearch steps:\n");
   search_table.print(std::cout);
   std::printf("steady-state pool window (2nd serial search): %llu buffer "
@@ -316,19 +290,7 @@ int main(int argc, char** argv) {
     out.set("hw_threads", io::Json(static_cast<std::size_t>(hw_threads)));
     out.set("search_s_serial", io::Json(search_serial.seconds));
     out.set("search_s_4_threads", io::Json(search_parallel.seconds));
-    out.set("search_s_planned", io::Json(search_planned.seconds));
     out.set("bit_identical", io::Json(identical));
-    // Plan-compiler telemetry of the planned leg (RunHealth counters).
-    out.set("plan_hits", io::Json(static_cast<std::size_t>(
-                             search_planned.health.plan_hits)));
-    out.set("plan_misses", io::Json(static_cast<std::size_t>(
-                               search_planned.health.plan_misses)));
-    out.set("plan_compiles", io::Json(static_cast<std::size_t>(
-                                 search_planned.health.plan_compiles)));
-    out.set("plan_fused_ops", io::Json(static_cast<std::size_t>(
-                                  search_planned.health.plan_fused_ops)));
-    out.set("plan_arena_bytes", io::Json(static_cast<std::size_t>(
-                                    search_planned.health.plan_arena_bytes)));
     // Cumulative pool counters (whole process, cold discovery included)
     // plus the warmed steady-state window measured above — the cumulative
     // miss count scales with workload size and says nothing about leaks;
@@ -350,7 +312,7 @@ int main(int argc, char** argv) {
 
   // --- verdict ---------------------------------------------------------
   if (!identical) {
-    std::printf("\nFAIL: parallel/planned/repeat results are not "
+    std::printf("\nFAIL: parallel/repeat results are not "
                 "bit-identical to serial\n");
     return 1;
   }

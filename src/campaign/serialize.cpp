@@ -55,7 +55,7 @@ std::vector<core::WatchdogEvent> events_from_json(const Json& json) {
   std::vector<core::WatchdogEvent> events;
   for (const Json& row : json.as_array()) {
     core::WatchdogEvent event;
-    event.epoch = static_cast<std::size_t>(row.at("epoch").as_number());
+    event.epoch = detail::size_from_json(row.at("epoch"), "event epoch");
     event.reason = row.at("reason").as_string();
     event.rolled_back = row.at("rolled_back").as_bool();
     events.push_back(std::move(event));
@@ -92,7 +92,7 @@ JobCheckpoint job_checkpoint_from_json(const Json& json) {
   job.alpha = detail::tensor_from_json(json.at("alpha"));
   job.adam_m = detail::tensor_list_from_json(json.at("adam_m"));
   job.adam_v = detail::tensor_list_from_json(json.at("adam_v"));
-  job.adam_t = static_cast<std::size_t>(json.at("adam_t").as_number());
+  job.adam_t = detail::size_from_json(json.at("adam_t"), "adam_t");
   job.lambdas = json.at("lambdas").to_doubles();
   job.path_rng = detail::rng_state_from_json(json.at("path_rng"));
   job.valid_rng = detail::rng_state_from_json(json.at("valid_rng"));
@@ -100,15 +100,14 @@ JobCheckpoint job_checkpoint_from_json(const Json& json) {
       detail::batcher_state_from_json(json.at("valid_batcher"));
   job.cooldown_scale = json.at("cooldown_scale").number_or_nan();
   job.tau_floor = json.at("tau_floor").number_or_nan();
-  job.rollbacks =
-      static_cast<std::size_t>(json.at("rollbacks").as_number());
+  job.rollbacks = detail::size_from_json(json.at("rollbacks"), "rollbacks");
   job.events = events_from_json(json.at("events"));
   job.tolerance_streak =
-      static_cast<std::size_t>(json.at("tolerance_streak").as_number());
+      detail::size_from_json(json.at("tolerance_streak"), "tolerance_streak");
   job.converged_epoch =
-      static_cast<std::size_t>(json.at("converged_epoch").as_number());
+      detail::size_from_json(json.at("converged_epoch"), "converged_epoch");
   job.alpha_updates =
-      static_cast<std::size_t>(json.at("alpha_updates").as_number());
+      detail::size_from_json(json.at("alpha_updates"), "alpha_updates");
   job.trace = trace_from_json(json.at("trace"));
   return job;
 }
@@ -147,17 +146,16 @@ CampaignCheckpoint campaign_checkpoint_from_json(const Json& json) {
   CampaignCheckpoint ck;
   ck.seed = detail::u64_from_json(json.at("seed"));
   ck.total_epochs =
-      static_cast<std::size_t>(json.at("total_epochs").as_number());
+      detail::size_from_json(json.at("total_epochs"), "total_epochs");
   ck.targets = json.at("targets").to_doubles();
-  ck.next_epoch =
-      static_cast<std::size_t>(json.at("next_epoch").as_number());
+  ck.next_epoch = detail::size_from_json(json.at("next_epoch"), "next_epoch");
   ck.supernet_weights =
       detail::tensor_list_from_json(json.at("supernet_weights"));
   ck.w_velocity = detail::tensor_list_from_json(json.at("w_velocity"));
   ck.w_step_counter =
-      static_cast<std::size_t>(json.at("w_step_counter").as_number());
+      detail::size_from_json(json.at("w_step_counter"), "w_step_counter");
   ck.weight_updates =
-      static_cast<std::size_t>(json.at("weight_updates").as_number());
+      detail::size_from_json(json.at("weight_updates"), "weight_updates");
   ck.rng = detail::rng_state_from_json(json.at("rng"));
   ck.data_rng = detail::rng_state_from_json(json.at("data_rng"));
   ck.train_batcher =

@@ -94,11 +94,6 @@ std::string RunHealth::summary() const {
         << " tape_hits=" << pool_tape_hits
         << " tape_misses=" << pool_tape_misses << "}";
   }
-  if (plan_hits + plan_misses + plan_compiles > 0) {
-    out << " plan{hits=" << plan_hits << " misses=" << plan_misses
-        << " compiles=" << plan_compiles << " fused_ops=" << plan_fused_ops
-        << " arena_bytes=" << plan_arena_bytes << "}";
-  }
   for (const WatchdogEvent& event : events) {
     out << " [epoch " << event.epoch << ": " << event.reason
         << (event.rolled_back ? " -> rollback" : " -> abort") << "]";
@@ -160,7 +155,6 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
   const nn::PoolStats pool_start = config_.pool_tensors
                                        ? pool_scope.pool().stats()
                                        : nn::PoolStats{};
-  const nn::plan::PlanStats plan_start = nn::plan::global_stats();
 
   const std::size_t num_constraints = constraints_.size();
 
@@ -488,14 +482,6 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
     result.health.pool_bytes_recycled = used.bytes_recycled;
     result.health.pool_tape_hits = used.tape_hits;
     result.health.pool_tape_misses = used.tape_misses;
-  }
-  {
-    const nn::plan::PlanStats used = nn::plan::global_stats() - plan_start;
-    result.health.plan_hits = used.hits;
-    result.health.plan_misses = used.misses;
-    result.health.plan_compiles = used.compiles;
-    result.health.plan_fused_ops = used.fused_ops;
-    result.health.plan_arena_bytes = used.arena_bytes;
   }
   return result;
 }

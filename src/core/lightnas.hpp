@@ -9,7 +9,6 @@
 #include "core/supernet.hpp"
 #include "nn/data.hpp"
 #include "nn/parallel.hpp"
-#include "nn/plan.hpp"
 #include "nn/tensor.hpp"
 #include "predictors/predictor.hpp"
 #include "space/architecture.hpp"
@@ -113,19 +112,10 @@ struct LightNasConfig {
   /// never their contents: trajectories are bit-identical on vs off.
   bool pool_tensors = true;
 
-  /// Execution-plan compilation of repeated w-step graphs (nn/plan.hpp):
-  /// after `plan.compile_after` structural hits on one (op_choice, batch
-  /// shape) key, the recycled autograd tape is lowered into a
-  /// shape-specialized plan and subsequent hits run it instead of the
-  /// dynamic graph. Planned and dynamic steps are bit-identical, so this
-  /// is purely a throughput knob. Disabled by default to keep the seed
-  /// counter telemetry (tape/pool hit rates) unchanged; enable with
-  /// LIGHTNAS_PLAN=on|N (applied here via from_env) or the CLI's --plan.
-  nn::plan::PlanSettings plan = nn::plan::PlanSettings::from_env([] {
-    nn::plan::PlanSettings base;
-    base.enabled = false;
-    return base;
-  }());
+  // Only for perfbench/; delete at the next benchmark change.
+  struct Plan {
+    static constexpr bool enabled = false;
+  } plan;
 
   WatchdogConfig watchdog;
 
@@ -196,13 +186,9 @@ struct RunHealth {
   std::uint64_t pool_bytes_recycled = 0;
   std::uint64_t pool_tape_hits = 0;
   std::uint64_t pool_tape_misses = 0;
-  /// Execution-plan telemetry (all zero when plans are disabled):
-  /// planned-step executions, dynamic fallbacks, compilations, fused
-  /// kernel records, and static arena bytes across this run's plans.
+  // Always 0; only for perfbench/, delete at the next benchmark change.
   std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
   std::uint64_t plan_compiles = 0;
-  std::uint64_t plan_fused_ops = 0;
   std::uint64_t plan_arena_bytes = 0;
 
   std::string summary() const;

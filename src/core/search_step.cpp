@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "nn/ops.hpp"
 
@@ -94,10 +93,7 @@ SharedWTrainer::SharedWTrainer(const SearchTopology& topology,
       weight_params_(supernet_.weight_parameters()),
       w_optimizer_(weight_params_, config.w_lr, config.w_momentum,
                    config.w_weight_decay, /*clip_norm=*/5.0),
-      w_schedule_(config.w_lr, total_w_steps),
-      plans_(config.plan) {
-  plan_inputs_.resize(1);
-  plan_labels_.resize(1);
+      w_schedule_(config.w_lr, total_w_steps) {
   manifest_.reserve(weight_params_.size());
 }
 
@@ -115,77 +111,12 @@ double SharedWTrainer::step(const nn::Dataset& batch,
   // Taken before the forward, so even a step that throws midway leaves
   // a manifest covering whatever its backward wrote.
   supernet_.path_parameters(op_choice, manifest_);
-  if (!plans_.settings().enabled) {
-    return dynamic_step(batch, op_choice, /*record=*/false);
-  }
-
-  // Structural key of this step: the sampled path plus the batch shape.
-  // Digits are appended in place so the steady state reuses the string's
-  // capacity (no allocation on the hot path).
-  plan_key_.clear();
-  const auto append_num = [this](std::size_t v) {
-    char digits[20];
-    std::size_t len = 0;
-    do {
-      digits[len++] = static_cast<char>('0' + v % 10);
-      v /= 10;
-    } while (v != 0);
-    while (len > 0) plan_key_.push_back(digits[--len]);
-  };
-  for (const std::size_t op : op_choice) {
-    append_num(op);
-    plan_key_.push_back(',');
-  }
-  plan_key_.push_back(':');
-  append_num(batch.features.rows());
-  plan_key_.push_back('x');
-  append_num(batch.features.cols());
-
-  const nn::ParallelContext& ctx = nn::ParallelContext::current();
-  if (nn::plan::ExecutionPlan* plan = plans_.lookup(plan_key_, ctx)) {
-    plan_inputs_[0] = &batch.features;
-    plan_labels_[0] = &batch.labels;
-    if (plan->execute(plan_inputs_, plan_labels_, ctx)) {
-      // The graph was never built, so drop the (empty) construction log
-      // and advance the tape generation before the optimizer runs.
-      nn::discard_tape_log();
-      w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
-      w_optimizer_.step_on(manifest_);
-      return static_cast<double>(plan->root_data()[0]);
-    }
-  }
-  return dynamic_step(batch, op_choice, plans_.should_record(plan_key_));
-}
-
-double SharedWTrainer::dynamic_step(
-    const nn::Dataset& batch, const std::vector<std::size_t>& op_choice,
-    bool record) {
-  std::unique_ptr<nn::plan::Program> program;
-  nn::VarPtr loss;
-  if (record) {
-    // Trace this step's forward; the capture happens before backward()
-    // recycles the graph. A poisoned capture marks the key uncompilable.
-    nn::plan::Recording recording;
-    const nn::VarPtr logits =
-        supernet_.forward_single_path(batch.features, op_choice);
-    loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
-    program = recording.capture(loss);
-  } else {
-    const nn::VarPtr logits =
-        supernet_.forward_single_path(batch.features, op_choice);
-    loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
-  }
+  const nn::VarPtr logits =
+      supernet_.forward_single_path(batch.features, op_choice);
+  const nn::VarPtr loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
   nn::backward(loss);
   w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
   w_optimizer_.step_on(manifest_);
-  if (record) {
-    plans_.store(plan_key_,
-                 program != nullptr
-                     ? nn::plan::ExecutionPlan::compile(
-                           *program, nn::plan::CompileOptions{},
-                           nn::ParallelContext::current())
-                     : nullptr);
-  }
   return static_cast<double>(loss->value.item());
 }
 

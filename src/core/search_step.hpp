@@ -10,7 +10,6 @@
 #include "nn/autograd.hpp"
 #include "nn/data.hpp"
 #include "nn/optim.hpp"
-#include "nn/plan.hpp"
 #include "nn/tensor.hpp"
 #include "space/architecture.hpp"
 #include "space/search_space.hpp"
@@ -113,9 +112,6 @@ class SharedWTrainer {
   double step(const nn::Dataset& batch,
               const std::vector<std::size_t>& op_choice);
 
-  /// Plan-layer telemetry of this trainer's cache (see nn/plan.hpp).
-  const nn::plan::PlanCache& plans() const { return plans_; }
-
   const SurrogateSupernet& supernet() const { return supernet_; }
   const std::vector<nn::VarPtr>& weight_parameters() const {
     return weight_params_;
@@ -134,22 +130,10 @@ class SharedWTrainer {
   nn::CosineSchedule w_schedule_;
   std::size_t step_counter_ = 0;
 
-  /// Compiled-plan machinery for the w-step hot path: plans are keyed on
-  /// (op_choice, batch shape); the key buffer and binding vectors are
-  /// members so a steady-state planned step allocates nothing.
-  nn::plan::PlanCache plans_;
-  std::string plan_key_;
-  std::vector<const nn::Tensor*> plan_inputs_;
-  std::vector<const std::vector<std::size_t>*> plan_labels_;
-
   /// The path manifest of the last step (the only gradients it wrote)
   /// and whether the next step must zero every gradient instead.
   std::vector<std::uint32_t> manifest_;
   bool zero_all_ = true;
-
-  double dynamic_step(const nn::Dataset& batch,
-                      const std::vector<std::size_t>& op_choice,
-                      bool record);
 };
 
 /// Per-target architecture head: the alpha matrix, its Adam optimizer,

@@ -13,22 +13,25 @@ namespace {
 
 constexpr int kFormatVersion = 1;
 
-/// A non-negative integral JSON number no larger than 2^32 - 1, as a
-/// size; throws std::runtime_error naming `what` otherwise.
-std::size_t size_from_json(const Json& json, const std::string& what) {
+/// The largest integer a double holds exactly (2^53): the bound for
+/// counters that may pass 2^32.
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
+}  // namespace
+
+std::size_t size_from_json(const Json& json, const std::string& what,
+                           double max) {
   if (json.type() != Json::Type::kNumber) {
     throw std::runtime_error(what + " is not a number");
   }
   // Rejects NaN, negatives, fractions and magnitudes a size_t cast
   // would wrap or a shape product would overflow.
   const double v = json.as_number();
-  if (!(v >= 0.0 && v <= 4294967295.0 && v == std::floor(v))) {
+  if (!(v >= 0.0 && v <= max && v == std::floor(v))) {
     throw std::runtime_error(what + " is not a valid size");
   }
   return static_cast<std::size_t>(v);
 }
-
-}  // namespace
 
 int format_version() { return kFormatVersion; }
 
@@ -36,7 +39,8 @@ void check_header(const Json& json, const std::string& kind) {
   if (!json.contains("kind") || json.at("kind").as_string() != kind) {
     throw std::runtime_error("file is not a '" + kind + "' artifact");
   }
-  if (static_cast<int>(json.at("version").as_number()) != kFormatVersion) {
+  if (size_from_json(json.at("version"), kind + " version") !=
+      static_cast<std::size_t>(kFormatVersion)) {
     throw std::runtime_error("unsupported '" + kind + "' format version");
   }
 }
@@ -126,9 +130,9 @@ nn::Batcher::State batcher_state_from_json(const Json& json) {
   nn::Batcher::State state;
   state.order.reserve(json.at("order").size());
   for (const Json& i : json.at("order").as_array()) {
-    state.order.push_back(static_cast<std::size_t>(i.as_number()));
+    state.order.push_back(size_from_json(i, "batcher order index"));
   }
-  state.cursor = static_cast<std::size_t>(json.at("cursor").as_number());
+  state.cursor = size_from_json(json.at("cursor"), "batcher cursor");
   return state;
 }
 
@@ -147,11 +151,6 @@ Json health_to_json(const core::RunHealth& health) {
   json.set("pool_bytes_recycled", Json(health.pool_bytes_recycled));
   json.set("pool_tape_hits", Json(health.pool_tape_hits));
   json.set("pool_tape_misses", Json(health.pool_tape_misses));
-  json.set("plan_hits", Json(health.plan_hits));
-  json.set("plan_misses", Json(health.plan_misses));
-  json.set("plan_compiles", Json(health.plan_compiles));
-  json.set("plan_fused_ops", Json(health.plan_fused_ops));
-  json.set("plan_arena_bytes", Json(health.plan_arena_bytes));
   Json events = Json::array();
   for (const core::WatchdogEvent& event : health.events) {
     Json row = Json::object();
@@ -165,50 +164,32 @@ Json health_to_json(const core::RunHealth& health) {
 }
 
 core::RunHealth health_from_json(const Json& json) {
+  const auto count = [&json](const char* key) {
+    return size_from_json(json.at(key), key, kMaxExactInteger);
+  };
   core::RunHealth health;
-  health.rollbacks =
-      static_cast<std::size_t>(json.at("rollbacks").as_number());
+  health.rollbacks = count("rollbacks");
   health.aborted_early = json.at("aborted_early").as_bool();
   health.interrupted = json.at("interrupted").as_bool();
   health.resumed = json.at("resumed").as_bool();
-  health.resumed_from_epoch =
-      static_cast<std::size_t>(json.at("resumed_from_epoch").as_number());
-  health.completed_epochs =
-      static_cast<std::size_t>(json.at("completed_epochs").as_number());
-  health.measurement_retries =
-      static_cast<std::size_t>(json.at("measurement_retries").as_number());
-  health.measurements_rejected = static_cast<std::size_t>(
-      json.at("measurements_rejected").as_number());
+  health.resumed_from_epoch = count("resumed_from_epoch");
+  health.completed_epochs = count("completed_epochs");
+  health.measurement_retries = count("measurement_retries");
+  health.measurements_rejected = count("measurements_rejected");
   // Pool telemetry arrived after the first checkpoint format; tolerate
-  // its absence so old checkpoints stay loadable.
+  // its absence so old checkpoints stay loadable. Files from builds with
+  // the deleted plan compiler also carry plan_* counters; they are
+  // ignored.
   if (json.contains("pool_buffer_hits")) {
-    health.pool_buffer_hits =
-        static_cast<std::uint64_t>(json.at("pool_buffer_hits").as_number());
-    health.pool_buffer_misses = static_cast<std::uint64_t>(
-        json.at("pool_buffer_misses").as_number());
-    health.pool_bytes_recycled = static_cast<std::uint64_t>(
-        json.at("pool_bytes_recycled").as_number());
-    health.pool_tape_hits =
-        static_cast<std::uint64_t>(json.at("pool_tape_hits").as_number());
-    health.pool_tape_misses =
-        static_cast<std::uint64_t>(json.at("pool_tape_misses").as_number());
-  }
-  // Plan telemetry is newer still; same tolerance.
-  if (json.contains("plan_hits")) {
-    health.plan_hits =
-        static_cast<std::uint64_t>(json.at("plan_hits").as_number());
-    health.plan_misses =
-        static_cast<std::uint64_t>(json.at("plan_misses").as_number());
-    health.plan_compiles =
-        static_cast<std::uint64_t>(json.at("plan_compiles").as_number());
-    health.plan_fused_ops =
-        static_cast<std::uint64_t>(json.at("plan_fused_ops").as_number());
-    health.plan_arena_bytes =
-        static_cast<std::uint64_t>(json.at("plan_arena_bytes").as_number());
+    health.pool_buffer_hits = count("pool_buffer_hits");
+    health.pool_buffer_misses = count("pool_buffer_misses");
+    health.pool_bytes_recycled = count("pool_bytes_recycled");
+    health.pool_tape_hits = count("pool_tape_hits");
+    health.pool_tape_misses = count("pool_tape_misses");
   }
   for (const Json& row : json.at("events").as_array()) {
     core::WatchdogEvent event;
-    event.epoch = static_cast<std::size_t>(row.at("epoch").as_number());
+    event.epoch = size_from_json(row.at("epoch"), "event epoch");
     event.reason = row.at("reason").as_string();
     event.rolled_back = row.at("rolled_back").as_bool();
     health.events.push_back(std::move(event));
@@ -233,7 +214,7 @@ Json epoch_stats_to_json(const core::SearchEpochStats& stats) {
 
 core::SearchEpochStats epoch_stats_from_json(const Json& row) {
   core::SearchEpochStats stats;
-  stats.epoch = static_cast<std::size_t>(row.at("epoch").as_number());
+  stats.epoch = size_from_json(row.at("epoch"), "trace epoch");
   stats.tau = row.at("tau").number_or_nan();
   stats.lambda = row.at("lambda").number_or_nan();
   stats.predicted_cost = row.at("predicted_cost").number_or_nan();
@@ -332,8 +313,7 @@ Json dataset_to_json(const predictors::MeasurementDataset& data,
 
 predictors::MeasurementDataset dataset_from_json(const Json& json) {
   check_header(json, "lightnas.dataset");
-  const auto num_ops =
-      static_cast<std::size_t>(json.at("num_ops").as_number());
+  const std::size_t num_ops = size_from_json(json.at("num_ops"), "num_ops");
   predictors::MeasurementDataset data;
   for (const Json& row : json.at("rows").as_array()) {
     space::Architecture arch =
@@ -386,9 +366,9 @@ core::SearchResult search_result_from_json(const Json& json) {
       json.at("final_predicted_cost").number_or_nan();
   result.final_lambda = json.at("final_lambda").number_or_nan();
   result.weight_updates =
-      static_cast<std::size_t>(json.at("weight_updates").as_number());
+      size_from_json(json.at("weight_updates"), "weight_updates");
   result.alpha_updates =
-      static_cast<std::size_t>(json.at("alpha_updates").as_number());
+      size_from_json(json.at("alpha_updates"), "alpha_updates");
   // Fields added after the first release of this format.
   if (json.contains("final_costs")) {
     result.final_costs = json.at("final_costs").to_doubles();
@@ -413,173 +393,6 @@ void save_search_result(const std::string& path,
 
 core::SearchResult load_search_result(const std::string& path) {
   return search_result_from_json(read_json_file(path));
-}
-
-// --- compiled execution plans -------------------------------------------
-
-namespace {
-
-const char* plan_op_name(nn::plan::OpKind kind) {
-  switch (kind) {
-    case nn::plan::OpKind::kMatmul: return "matmul";
-    case nn::plan::OpKind::kAdd: return "add";
-    case nn::plan::OpKind::kAddBias: return "add_bias";
-    case nn::plan::OpKind::kScale: return "scale";
-    case nn::plan::OpKind::kAddScalar: return "add_scalar";
-    case nn::plan::OpKind::kRelu: return "relu";
-    case nn::plan::OpKind::kSoftmaxCE: return "softmax_ce";
-  }
-  return "?";
-}
-
-nn::plan::OpKind plan_op_from_name(const std::string& name) {
-  if (name == "matmul") return nn::plan::OpKind::kMatmul;
-  if (name == "add") return nn::plan::OpKind::kAdd;
-  if (name == "add_bias") return nn::plan::OpKind::kAddBias;
-  if (name == "scale") return nn::plan::OpKind::kScale;
-  if (name == "add_scalar") return nn::plan::OpKind::kAddScalar;
-  if (name == "relu") return nn::plan::OpKind::kRelu;
-  if (name == "softmax_ce") return nn::plan::OpKind::kSoftmaxCE;
-  throw std::runtime_error("unknown plan op kind '" + name + "'");
-}
-
-}  // namespace
-
-Json plan_to_json(const nn::plan::Program& program) {
-  Json json = Json::object();
-  json.set("kind", Json("lightnas.plan"));
-  json.set("version", Json(detail::format_version()));
-  Json slots = Json::array();
-  for (const nn::plan::ProgramSlot& slot : program.slots) {
-    Json row = Json::object();
-    row.set("rows", Json(slot.rows));
-    row.set("cols", Json(slot.cols));
-    switch (slot.kind) {
-      case nn::plan::SlotKind::kOp:
-        row.set("slot", Json("op"));
-        break;
-      case nn::plan::SlotKind::kParam:
-        row.set("slot", Json("param"));
-        row.set("name", Json(slot.param_name));
-        break;
-      case nn::plan::SlotKind::kInput:
-        row.set("slot", Json("input"));
-        row.set("input_index",
-                Json(static_cast<std::size_t>(slot.input_index)));
-        break;
-      case nn::plan::SlotKind::kBaked:
-        row.set("slot", Json("baked"));
-        row.set("baked", detail::tensor_to_json(slot.baked));
-        break;
-    }
-    slots.push_back(std::move(row));
-  }
-  json.set("slots", std::move(slots));
-  Json ops = Json::array();
-  for (const nn::plan::ProgramOp& op : program.ops) {
-    Json row = Json::object();
-    row.set("op", Json(plan_op_name(op.kind)));
-    row.set("out", Json(static_cast<std::size_t>(op.out)));
-    row.set("a", Json(static_cast<std::size_t>(op.a)));
-    if (op.b != nn::plan::kNoSlot) {
-      row.set("b", Json(static_cast<std::size_t>(op.b)));
-    }
-    if (op.kind == nn::plan::OpKind::kScale ||
-        op.kind == nn::plan::OpKind::kAddScalar) {
-      row.set("scalar", Json(op.scalar));
-    }
-    if (op.kind == nn::plan::OpKind::kSoftmaxCE) {
-      row.set("label_binding",
-              Json(static_cast<std::size_t>(op.label_binding)));
-    }
-    ops.push_back(std::move(row));
-  }
-  json.set("ops", std::move(ops));
-  json.set("root", Json(static_cast<std::size_t>(program.root)));
-  json.set("num_inputs", Json(static_cast<std::size_t>(program.num_inputs)));
-  json.set("num_label_bindings",
-           Json(static_cast<std::size_t>(program.num_label_bindings)));
-  return json;
-}
-
-nn::plan::Program plan_from_json(const Json& json) {
-  detail::check_header(json, "lightnas.plan");
-  nn::plan::Program program;
-  for (const Json& row : json.at("slots").as_array()) {
-    nn::plan::ProgramSlot slot;
-    slot.rows = static_cast<std::size_t>(row.at("rows").as_number());
-    slot.cols = static_cast<std::size_t>(row.at("cols").as_number());
-    const std::string& kind = row.at("slot").as_string();
-    if (kind == "op") {
-      slot.kind = nn::plan::SlotKind::kOp;
-    } else if (kind == "param") {
-      slot.kind = nn::plan::SlotKind::kParam;
-      slot.param_name = row.at("name").as_string();
-    } else if (kind == "input") {
-      slot.kind = nn::plan::SlotKind::kInput;
-      slot.input_index =
-          static_cast<std::uint32_t>(row.at("input_index").as_number());
-    } else if (kind == "baked") {
-      slot.kind = nn::plan::SlotKind::kBaked;
-      slot.baked = detail::tensor_from_json(row.at("baked"));
-    } else {
-      throw std::runtime_error("unknown plan slot kind '" + kind + "'");
-    }
-    program.slots.push_back(std::move(slot));
-  }
-  for (const Json& row : json.at("ops").as_array()) {
-    nn::plan::ProgramOp op;
-    op.kind = plan_op_from_name(row.at("op").as_string());
-    op.out = static_cast<std::uint32_t>(row.at("out").as_number());
-    op.a = static_cast<std::uint32_t>(row.at("a").as_number());
-    if (row.contains("b")) {
-      op.b = static_cast<std::uint32_t>(row.at("b").as_number());
-    }
-    if (row.contains("scalar")) op.scalar = row.at("scalar").as_number();
-    if (row.contains("label_binding")) {
-      op.label_binding =
-          static_cast<std::uint32_t>(row.at("label_binding").as_number());
-    }
-    program.ops.push_back(op);
-  }
-  program.root = static_cast<std::uint32_t>(json.at("root").as_number());
-  program.num_inputs =
-      static_cast<std::uint32_t>(json.at("num_inputs").as_number());
-  program.num_label_bindings = static_cast<std::uint32_t>(
-      json.at("num_label_bindings").as_number());
-  return program;
-}
-
-void bind_program_params(nn::plan::Program& program,
-                         const std::vector<nn::VarPtr>& params) {
-  for (nn::plan::ProgramSlot& slot : program.slots) {
-    if (slot.kind != nn::plan::SlotKind::kParam) continue;
-    slot.param = nullptr;
-    for (const nn::VarPtr& p : params) {
-      if (p->name != slot.param_name ||
-          p->value.rows() != slot.rows || p->value.cols() != slot.cols) {
-        continue;
-      }
-      if (slot.param != nullptr) {
-        throw std::runtime_error("plan parameter '" + slot.param_name +
-                                 "' matches multiple model parameters");
-      }
-      slot.param = p;
-    }
-    if (slot.param == nullptr) {
-      throw std::runtime_error("plan parameter '" + slot.param_name +
-                               "' has no matching model parameter");
-    }
-  }
-}
-
-void save_plan(const std::string& path,
-               const nn::plan::Program& program) {
-  write_json_file(path, plan_to_json(program));
-}
-
-nn::plan::Program load_plan(const std::string& path) {
-  return plan_from_json(read_json_file(path));
 }
 
 // --- search checkpoints ------------------------------------------------
@@ -622,18 +435,17 @@ core::SearchCheckpoint checkpoint_from_json(const Json& json) {
   check_header(json, "lightnas.checkpoint");
   core::SearchCheckpoint ck;
   ck.seed = u64_from_json(json.at("seed"));
-  ck.total_epochs =
-      static_cast<std::size_t>(json.at("total_epochs").as_number());
+  ck.total_epochs = size_from_json(json.at("total_epochs"), "total_epochs");
   ck.targets = json.at("targets").to_doubles();
-  ck.next_epoch = static_cast<std::size_t>(json.at("next_epoch").as_number());
+  ck.next_epoch = size_from_json(json.at("next_epoch"), "next_epoch");
   ck.w_step_counter =
-      static_cast<std::size_t>(json.at("w_step_counter").as_number());
+      size_from_json(json.at("w_step_counter"), "w_step_counter");
   ck.alpha = tensor_from_json(json.at("alpha"));
   ck.supernet_weights = tensor_list_from_json(json.at("supernet_weights"));
   ck.w_velocity = tensor_list_from_json(json.at("w_velocity"));
   ck.adam_m = tensor_list_from_json(json.at("adam_m"));
   ck.adam_v = tensor_list_from_json(json.at("adam_v"));
-  ck.adam_t = static_cast<std::size_t>(json.at("adam_t").as_number());
+  ck.adam_t = size_from_json(json.at("adam_t"), "adam_t");
   ck.lambdas = json.at("lambdas").to_doubles();
   ck.cooldown_scale = json.at("cooldown_scale").number_or_nan();
   ck.tau_floor = json.at("tau_floor").number_or_nan();
@@ -643,9 +455,8 @@ core::SearchCheckpoint checkpoint_from_json(const Json& json) {
   ck.train_batcher = batcher_state_from_json(json.at("train_batcher"));
   ck.valid_batcher = batcher_state_from_json(json.at("valid_batcher"));
   ck.weight_updates =
-      static_cast<std::size_t>(json.at("weight_updates").as_number());
-  ck.alpha_updates =
-      static_cast<std::size_t>(json.at("alpha_updates").as_number());
+      size_from_json(json.at("weight_updates"), "weight_updates");
+  ck.alpha_updates = size_from_json(json.at("alpha_updates"), "alpha_updates");
   ck.health = health_from_json(json.at("health"));
   for (const Json& row : json.at("trace").as_array()) {
     ck.trace.push_back(epoch_stats_from_json(row));

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <unordered_set>
 
-#include "nn/plan.hpp"
 #include "nn/pool.hpp"
 
 namespace lightnas::nn {
@@ -264,7 +263,6 @@ VarPtr make_leaf(Tensor value, std::string name) {
   v->requires_grad = true;
   v->name = std::move(name);
   log_creation(v.get());
-  if (plan::detail::recording_active()) plan::detail::record_leaf(v);
   return v;
 }
 
@@ -274,7 +272,6 @@ VarPtr make_const(Tensor value, std::string name) {
   v->requires_grad = false;
   v->name = std::move(name);
   log_creation(v.get());
-  if (plan::detail::recording_active()) plan::detail::record_const(v);
   return v;
 }
 
@@ -385,16 +382,6 @@ void backward(const VarPtr& root) {
   ++a.generation;
 
   run_tape(a.resolved, root.get());
-}
-
-void discard_tape_log() {
-  if (TensorPool::active() == nullptr) return;
-  GraphArena& a = arena();
-  a.log.clear();
-  a.log_parents.clear();
-  a.unpooled_creation = false;
-  a.log_overflow = false;
-  ++a.generation;
 }
 
 std::size_t graph_size(const VarPtr& root) {

@@ -181,15 +181,6 @@ VarPtr make_node(Tensor value, const std::vector<VarPtr>& parents,
 /// cost, never the visit order, so gradients stay bit-identical.
 void backward(const VarPtr& root);
 
-/// Drop any construction-log entries accumulated since the last pooled
-/// backward() and advance the generation, leaving the cached tape and
-/// the previous step's reference log intact. Called after a step that
-/// bypassed the graph entirely (a compiled execution plan, see
-/// plan.hpp): the next dynamic step then fingerprints only its own
-/// creations, so tape reuse keeps working across planned/dynamic
-/// interleavings. No-op without an active TensorPool.
-void discard_tape_log();
-
 /// Number of nodes reachable from `root` (diagnostics / tests).
 std::size_t graph_size(const VarPtr& root);
 

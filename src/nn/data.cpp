@@ -65,6 +65,16 @@ void Batcher::restore_state(State state) {
     throw std::invalid_argument(
         "Batcher::restore_state: snapshot does not match dataset");
   }
+  // next() gathers these indices unchecked: accept only a permutation.
+  std::vector<bool> seen(state.order.size(), false);
+  for (const std::size_t i : state.order) {
+    if (i >= seen.size() || seen[i]) {
+      throw std::invalid_argument(
+          "Batcher::restore_state: order is not a permutation of the "
+          "dataset");
+    }
+    seen[i] = true;
+  }
   order_ = std::move(state.order);
   cursor_ = state.cursor;
 }

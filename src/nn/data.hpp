@@ -45,7 +45,9 @@ class Batcher {
   std::size_t batches_per_epoch() const;
 
   State export_state() const { return {order_, cursor_}; }
-  /// Restore a snapshot taken on a batcher over the same dataset.
+  /// Restore a snapshot taken on a batcher over the same dataset; throws
+  /// std::invalid_argument unless its order is a permutation of the
+  /// dataset's rows and its cursor lies within it.
   void restore_state(State state);
 
  private:

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "nn/plan.hpp"
 #include "util/check.hpp"
 
 namespace lightnas::nn::ops {
@@ -33,15 +32,11 @@ VarPtr matmul(const VarPtr& a, const VarPtr& b) {
                  "ops::matmul: " + a->value.shape_string() + " * " +
                      b->value.shape_string());
   Tensor out = lightnas::nn::matmul(a->value, b->value);
-  VarPtr node = make_node(std::move(out), {a, b}, [a, b](Var& node) {
+  return make_node(std::move(out), {a, b}, [a, b](Var& node) {
     // dL/dA = dL/dC * B^T ; dL/dB = A^T * dL/dC
     if (wants_grad(a)) accumulate(a, matmul_nt(node.grad, b->value));
     if (wants_grad(b)) accumulate(b, matmul_tn(a->value, node.grad));
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kMatmul, a, &b, 0.0);
-  }
-  return node;
 }
 
 VarPtr add(const VarPtr& a, const VarPtr& b) {
@@ -50,14 +45,10 @@ VarPtr add(const VarPtr& a, const VarPtr& b) {
                      b->value.shape_string());
   Tensor out = a->value;
   out.add_inplace(b->value);
-  VarPtr node = make_node(std::move(out), {a, b}, [a, b](Var& node) {
+  return make_node(std::move(out), {a, b}, [a, b](Var& node) {
     accumulate(a, node.grad);
     accumulate(b, node.grad);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kAdd, a, &b, 0.0);
-  }
-  return node;
 }
 
 VarPtr sub(const VarPtr& a, const VarPtr& b) {
@@ -101,7 +92,7 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
                      bias->value.shape_string());
   Tensor out = x->value;
   out.add_row_inplace(bias->value);
-  VarPtr node = make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
+  return make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
     accumulate(x, node.grad);
     if (!wants_grad(bias)) return;
     // Each column sums its rows in ascending order from +0.
@@ -114,24 +105,16 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
     }
     accumulate(bias, gb);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kAddBias, x, &bias, 0.0);
-  }
-  return node;
 }
 
 VarPtr scale(const VarPtr& x, double factor) {
   Tensor out = x->value;
   out.scale_inplace(static_cast<float>(factor));
-  VarPtr node = make_node(std::move(out), {x}, [x, factor](Var& node) {
+  return make_node(std::move(out), {x}, [x, factor](Var& node) {
     Tensor g = node.grad;
     g.scale_inplace(static_cast<float>(factor));
     accumulate(x, g);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kScale, x, nullptr, factor);
-  }
-  return node;
 }
 
 VarPtr add_scalar(const VarPtr& x, double constant) {
@@ -139,14 +122,9 @@ VarPtr add_scalar(const VarPtr& x, double constant) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] += static_cast<float>(constant);
   }
-  VarPtr node = make_node(std::move(out), {x}, [x](Var& node) {
+  return make_node(std::move(out), {x}, [x](Var& node) {
     accumulate(x, node.grad);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kAddScalar, x, nullptr,
-                            constant);
-  }
-  return node;
 }
 
 VarPtr mul_scalar(const VarPtr& x, const VarPtr& scalar) {
@@ -174,7 +152,7 @@ VarPtr mul_scalar(const VarPtr& x, const VarPtr& scalar) {
 VarPtr relu(const VarPtr& x) {
   Tensor out = x->value;
   out.relu_inplace();
-  VarPtr node = make_node(std::move(out), {x}, [x](Var& node) {
+  return make_node(std::move(out), {x}, [x](Var& node) {
     // A select, not a branch: ReLU masks defeat branch prediction, and
     // the select vectorizes. +0 where x <= 0; a NaN x keeps g.
     Tensor g = node.grad;
@@ -185,10 +163,6 @@ VarPtr relu(const VarPtr& x) {
     }
     accumulate(x, g);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kRelu, x, nullptr, 0.0);
-  }
-  return node;
 }
 
 VarPtr sigmoid(const VarPtr& x) {
@@ -378,8 +352,8 @@ VarPtr softmax_cross_entropy(const VarPtr& logits,
   Tensor out = Tensor::scalar(
       static_cast<float>(total_loss / static_cast<double>(batch)));
 
-  VarPtr node = make_node(std::move(out), {logits},
-                          [logits, probs, labels = labels](Var& node) {
+  return make_node(std::move(out), {logits},
+                   [logits, probs, labels = labels](Var& node) {
     const float g = node.grad.item() /
                     static_cast<float>(logits->value.rows());
     Tensor gx = probs;
@@ -389,11 +363,6 @@ VarPtr softmax_cross_entropy(const VarPtr& logits,
     gx.scale_inplace(g);
     accumulate(logits, gx);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kSoftmaxCE, logits, nullptr,
-                            0.0);
-  }
-  return node;
 }
 
 VarPtr mse_loss(const VarPtr& pred, const VarPtr& target) {

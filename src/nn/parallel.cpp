@@ -128,41 +128,6 @@ void ParallelContext::for_rows(
   done.wait(lock, [&] { return remaining == 0; });
 }
 
-void ParallelContext::for_partition(const std::size_t* bounds,
-                                    std::size_t chunks,
-                                    void (*fn)(void*, std::size_t,
-                                               std::size_t),
-                                    void* arg) const {
-  const std::shared_ptr<util::ThreadPool> pool = pool_snapshot();
-  if (pool == nullptr || tl_in_chunk || chunks <= 1) {
-    fn(arg, bounds[0], bounds[chunks]);
-    return;
-  }
-
-  std::mutex mu;
-  std::condition_variable done;
-  std::size_t remaining = chunks - 1;
-
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const std::size_t begin = bounds[c];
-    const std::size_t end = bounds[c + 1];
-    pool->submit([&, begin, end] {
-      {
-        ChunkGuard guard;
-        fn(arg, begin, end);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_one();
-    });
-  }
-  {
-    ChunkGuard guard;
-    fn(arg, bounds[0], bounds[1]);
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
-}
-
 const ParallelContext& ParallelContext::current() {
   return tl_override != nullptr ? *tl_override : global();
 }

@@ -74,19 +74,6 @@ class ParallelContext {
                 const std::function<void(std::size_t, std::size_t)>& fn)
       const;
 
-  /// Allocation-free variant of for_rows over a precomputed partition:
-  /// `bounds` holds `chunks + 1` ascending row bounds (chunk c covers
-  /// [bounds[c], bounds[c+1])) and fn is a plain function pointer taking
-  /// an opaque arg — no std::function, so a compiled execution plan can
-  /// dispatch without touching the heap. The caller runs chunk 0; falls
-  /// back to one serial fn(arg, bounds[0], bounds[chunks]) call when the
-  /// context is serial, the caller is inside a chunk, or chunks <= 1.
-  /// The partition must match what for_rows would compute for the same
-  /// rows/chunks split if bit-identity with the dynamic path matters.
-  void for_partition(const std::size_t* bounds, std::size_t chunks,
-                     void (*fn)(void*, std::size_t, std::size_t),
-                     void* arg) const;
-
   /// The context the kernels consult when none is passed explicitly:
   /// the innermost active ParallelScope on this thread, else global().
   static const ParallelContext& current();

@@ -296,6 +296,8 @@ std::string Tensor::shape_string() const {
 // Tensor::uninitialized and a pooled hit never pays a zero-fill pass.
 // ---------------------------------------------------------------------
 
+namespace {
+
 /// C(r0..r1, :) = A(r0..r1, :) * B for row-major A (m x k), B (k x n).
 /// Fully overwrites the row range; C may start uninitialized (k >= 1).
 void matmul_rows_scalar(const float* a, const float* b, float* c,
@@ -395,6 +397,8 @@ void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
     }
   }
 }
+
+}  // namespace
 
 const float* pack_transposed(const float* b, std::size_t rows,
                              std::size_t cols) {

@@ -197,10 +197,8 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b,
 /// Raw-pointer forms of the three GEMMs over caller-owned buffers.
 /// These hold the single dispatch path — one ISA resolution per call,
 /// kc = ctx.block(), row partitioning via should_parallelize/for_rows —
-/// and the Tensor wrappers above delegate to them, so a compiled
-/// execution plan (plan.hpp) running on arena storage goes through the
-/// exact same kernels, bit for bit, as the dynamic graph. Buffers must
-/// not alias; `c` holds the full output and is fully overwritten
+/// and the Tensor wrappers above delegate to them. Buffers must not
+/// alias; `c` holds the full output and is fully overwritten
 /// (k == 0 zero-fills it).
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n, const ParallelContext& ctx);
@@ -218,23 +216,11 @@ void add_row_into(float* data, const float* bias, std::size_t rows,
 void add_row_relu_into(float* data, const float* bias, std::size_t rows,
                        std::size_t cols, const ParallelContext& ctx);
 
-/// Row-range scalar GEMM kernels (the serial reference tier). Exposed
-/// so a compiled execution plan can pin a kernel pointer at compile
-/// time instead of re-dispatching per call; the *_into forms above and
-/// the SIMD microkernels of simd.hpp share the exact accumulation-chain
-/// contract, so any row partitioning of [r0, r1) is bit-identical.
-void matmul_rows_scalar(const float* a, const float* b, float* c,
-                        std::size_t k, std::size_t n, std::size_t r0,
-                        std::size_t r1, std::size_t kc);
-void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
-                           std::size_t k, std::size_t m, std::size_t n,
-                           std::size_t i0, std::size_t i1, std::size_t kc);
-
 /// Transpose of the row-major (rows x cols) matrix `b`, written into
 /// this thread's reusable scratch and returned as (cols x rows)
 /// row-major. Valid until the calling thread's next call; the NT GEMM
-/// (matmul_nt_into and the plan compiler's NT instructions) packs its B
-/// operand here so it runs on the NN kernels.
+/// (matmul_nt_into) packs its B operand here so it runs on the NN
+/// kernels.
 const float* pack_transposed(const float* b, std::size_t rows,
                              std::size_t cols);
 

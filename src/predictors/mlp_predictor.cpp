@@ -104,6 +104,9 @@ double MlpPredictor::train(const MeasurementDataset& data,
                        << config.epochs << " mse=" << last_epoch_loss;
     }
   }
+  // Leave no gradient behind: outside train() the weights are frozen and
+  // nothing reads or clears their grads.
+  optimizer.zero_grad();
   trained_ = true;
   return last_epoch_loss;
 }

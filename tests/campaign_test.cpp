@@ -18,6 +18,21 @@
 namespace lightnas::campaign {
 namespace {
 
+/// `text` with the number after the first `marker` past `anchor`
+/// replaced by `value` (checkpoint dumps are compact, keys sorted).
+std::string replace_number(std::string text, const std::string& anchor,
+                           const std::string& marker,
+                           const std::string& value) {
+  const std::size_t at = text.find(marker, text.find(anchor));
+  if (at == std::string::npos) {
+    ADD_FAILURE() << marker << " not found";
+    return text;
+  }
+  const std::size_t start = at + marker.size();
+  return text.replace(start, text.find_first_of(",]}", start) - start,
+                      value);
+}
+
 /// Noise-free linear predictor (same construction as the core tests):
 /// the orchestrator under test must be deterministic, so the predictor
 /// is too.
@@ -298,6 +313,55 @@ TEST_F(CampaignTest, ResumeRejectsMismatchedFingerprint) {
   fewer_jobs.targets = {20.0, 24.0};
   EXPECT_THROW(make_orchestrator(fewer_jobs).run(resume),
                std::invalid_argument);
+}
+
+// A mutated batcher order must never reach Dataset::gather, which does
+// not bounds-check: every hostile value resumes with a typed error.
+TEST_F(CampaignTest, HostileCheckpointIntegersResumeWithTypedErrors) {
+  std::optional<CampaignCheckpoint> saved;
+  CampaignHooks hooks;
+  hooks.on_checkpoint = [&](const CampaignCheckpoint& ck) { saved = ck; };
+  hooks.should_stop = [](std::size_t done) { return done >= 2; };
+  (void)make_orchestrator(tiny_config()).run(hooks);
+  ASSERT_TRUE(saved.has_value());
+  const std::string text = campaign_checkpoint_to_json(*saved).dump();
+  const auto resume_from = [this](const std::string& json) {
+    const CampaignCheckpoint ck =
+        campaign_checkpoint_from_json(io::Json::parse(json));
+    CampaignHooks resume;
+    resume.resume = &ck;
+    (void)make_orchestrator(tiny_config()).run(resume);
+  };
+  EXPECT_NO_THROW(resume_from(text));
+
+  // The shared train batcher and the first job's valid batcher.
+  for (const char* batcher : {"\"train_batcher\"", "\"valid_batcher\""}) {
+    const std::vector<std::size_t>& order =
+        std::string(batcher) == "\"train_batcher\""
+            ? saved->train_batcher.order
+            : saved->jobs.front().valid_batcher.order;
+    for (const std::size_t index : {order.size(), order[1]}) {
+      SCOPED_TRACE(std::string(batcher) + " index " + std::to_string(index));
+      EXPECT_THROW(resume_from(replace_number(text, batcher, "\"order\":[",
+                                              std::to_string(index))),
+                   std::invalid_argument);
+    }
+    for (const char* index : {"-1", "1.5", "1e300"}) {
+      SCOPED_TRACE(std::string(batcher) + " index " + index);
+      EXPECT_THROW(
+          resume_from(replace_number(text, batcher, "\"order\":[", index)),
+          std::runtime_error);
+    }
+  }
+  for (const char* field : {"\"next_epoch\":", "\"w_step_counter\":",
+                            "\"adam_t\":", "\"converged_epoch\":",
+                            "\"epoch\":"}) {
+    for (const char* value : {"-1", "1.5", "1e300"}) {
+      SCOPED_TRACE(std::string(field) + value);
+      EXPECT_THROW(resume_from(replace_number(text, "{", field, value)),
+                   std::runtime_error);
+    }
+  }
 }
 
 TEST_F(CampaignTest, PreemptingConvergedJobsSavesAlphaBudget) {

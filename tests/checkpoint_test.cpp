@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/lightnas.hpp"
 #include "io/serialize.hpp"
@@ -53,6 +54,21 @@ class LinearOracle : public predictors::HardwarePredictor {
   std::vector<double> weights_;
   double base_ = 0.0;
 };
+
+/// `text` with the number after the first `marker` past `anchor`
+/// replaced by `value` (checkpoint dumps are compact, keys sorted).
+std::string replace_number(std::string text, const std::string& anchor,
+                           const std::string& marker,
+                           const std::string& value) {
+  const std::size_t at = text.find(marker, text.find(anchor));
+  if (at == std::string::npos) {
+    ADD_FAILURE() << marker << " not found";
+    return text;
+  }
+  const std::size_t start = at + marker.size();
+  return text.replace(start, text.find_first_of(",]}", start) - start,
+                      value);
+}
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -248,6 +264,56 @@ TEST_F(CheckpointTest, ResumeRejectsMismatchedFingerprint) {
   other_epochs.epochs = 12;
   EXPECT_THROW(make_engine(other_epochs).search(resume),
                std::invalid_argument);
+}
+
+// A mutated batcher order must never reach Dataset::gather, which does
+// not bounds-check: every hostile value resumes with a typed error.
+TEST_F(CheckpointTest, HostileCheckpointIntegersResumeWithTypedErrors) {
+  std::optional<SearchCheckpoint> saved;
+  SearchHooks hooks;
+  hooks.on_checkpoint = [&](const SearchCheckpoint& ck) { saved = ck; };
+  hooks.should_stop = [](std::size_t done) { return done >= 2; };
+  (void)make_engine(tiny_config()).search(hooks);
+  ASSERT_TRUE(saved.has_value());
+  const std::string text = io::checkpoint_to_json(*saved).dump();
+  const auto resume_from = [this](const std::string& json) {
+    const SearchCheckpoint ck =
+        io::checkpoint_from_json(io::Json::parse(json));
+    SearchHooks resume;
+    resume.resume = &ck;
+    (void)make_engine(tiny_config()).search(resume);
+  };
+  // The unmodified text resumes.
+  EXPECT_NO_THROW(resume_from(text));
+
+  for (const char* batcher : {"\"train_batcher\"", "\"valid_batcher\""}) {
+    const std::vector<std::size_t>& order =
+        std::string(batcher) == "\"train_batcher\""
+            ? saved->train_batcher.order
+            : saved->valid_batcher.order;
+    // Sizes, but not a permutation of [0, n): the batcher refuses them.
+    for (const std::size_t index : {order.size(), order[1]}) {
+      SCOPED_TRACE(std::string(batcher) + " index " + std::to_string(index));
+      EXPECT_THROW(resume_from(replace_number(text, batcher, "\"order\":[",
+                                              std::to_string(index))),
+                   std::invalid_argument);
+    }
+    // Not sizes at all: the loader refuses them.
+    for (const char* index : {"-1", "1.5", "1e300"}) {
+      SCOPED_TRACE(std::string(batcher) + " index " + index);
+      EXPECT_THROW(
+          resume_from(replace_number(text, batcher, "\"order\":[", index)),
+          std::runtime_error);
+    }
+  }
+  for (const char* field : {"\"next_epoch\":", "\"adam_t\":",
+                            "\"rollbacks\":", "\"pool_buffer_hits\":"}) {
+    for (const char* value : {"-1", "1.5", "1e300"}) {
+      SCOPED_TRACE(std::string(field) + value);
+      EXPECT_THROW(resume_from(replace_number(text, "{", field, value)),
+                   std::runtime_error);
+    }
+  }
 }
 
 TEST_F(CheckpointTest, CheckpointEveryControlsEmissionCadence) {

@@ -349,66 +349,59 @@ TEST_F(SearchTest, SparseWStepsMatchDenseReferenceTrajectory) {
   const std::vector<Constraint> constraints = {{&predictor, 22.0}};
   const SearchTopology topology(space_);
   constexpr std::size_t kSteps = 200;
-  for (const bool plans : {false, true}) {
-    SCOPED_TRACE(plans ? "plans on" : "plans off");
-    LightNasConfig config = tiny_config(22.0);
-    config.plan.enabled = plans;
-    config.plan.compile_after = 1;
-    SharedWTrainer trainer(topology, task, SupernetConfig{}, config, kSteps);
-    AlphaLambdaHead head(topology, constraints, config);
+  const LightNasConfig config = tiny_config(22.0);
+  SharedWTrainer trainer(topology, task, SupernetConfig{}, config, kSteps);
+  AlphaLambdaHead head(topology, constraints, config);
 
-    SupernetConfig seeded;
-    seeded.seed ^= config.seed;
-    const SurrogateSupernet reference(space_, task.train.feature_dim(),
-                                      trainer.supernet().num_classes(),
-                                      seeded);
-    const std::vector<nn::VarPtr> ref_params = reference.weight_parameters();
-    nn::Sgd ref_sgd(ref_params, config.w_lr, config.w_momentum,
-                    config.w_weight_decay, /*clip_norm=*/5.0);
-    const nn::CosineSchedule ref_schedule(config.w_lr, kSteps);
+  SupernetConfig seeded;
+  seeded.seed ^= config.seed;
+  const SurrogateSupernet reference(space_, task.train.feature_dim(),
+                                    trainer.supernet().num_classes(),
+                                    seeded);
+  const std::vector<nn::VarPtr> ref_params = reference.weight_parameters();
+  nn::Sgd ref_sgd(ref_params, config.w_lr, config.w_momentum,
+                  config.w_weight_decay, /*clip_norm=*/5.0);
+  const nn::CosineSchedule ref_schedule(config.w_lr, kSteps);
 
-    util::Rng path_rng(5), train_rng(6), valid_rng(7), alpha_rng(8);
-    nn::Batcher train_batches(task.train, config.batch_size, train_rng);
-    nn::Batcher valid_batches(task.valid, config.batch_size, valid_rng);
-    // A small pool of recurring paths (so plans compile and serve hits)
-    // mixed with fresh ones.
-    std::vector<std::vector<std::size_t>> recurring;
-    for (std::size_t i = 0; i < 6; ++i) {
-      recurring.push_back(space_.random_architecture(path_rng).ops());
+  util::Rng path_rng(5), train_rng(6), valid_rng(7), alpha_rng(8);
+  nn::Batcher train_batches(task.train, config.batch_size, train_rng);
+  nn::Batcher valid_batches(task.valid, config.batch_size, valid_rng);
+  // A small pool of recurring paths (a step often zeroes the manifest of
+  // the same path it is about to write) mixed with fresh ones.
+  std::vector<std::vector<std::size_t>> recurring;
+  for (std::size_t i = 0; i < 6; ++i) {
+    recurring.push_back(space_.random_architecture(path_rng).ops());
+  }
+  nn::PooledScope pooled(nn::PoolMode::kFresh);
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    const std::vector<std::size_t> ops =
+        s % 3 == 0 ? space_.random_architecture(path_rng).ops()
+                   : recurring[path_rng.uniform_index(recurring.size())];
+    const nn::Dataset batch = train_batches.next();
+    const double loss = trainer.step(batch, ops);
+
+    ref_sgd.zero_grad();
+    const nn::VarPtr ref_loss = nn::ops::softmax_cross_entropy(
+        reference.forward_single_path(batch.features, ops), batch.labels);
+    nn::backward(ref_loss);
+    ref_sgd.set_lr(ref_schedule.lr_at(s));
+    ref_sgd.step();
+    ASSERT_EQ(loss, static_cast<double>(ref_loss->value.item()))
+        << "step " << s;
+
+    if (s % 10 == 9) {
+      head.alpha_step(trainer.supernet(), trainer.weight_parameters(),
+                      valid_batches.next(), 1.0, alpha_rng);
     }
-    const nn::plan::PlanStats before = nn::plan::global_stats();
-    nn::PooledScope pooled(nn::PoolMode::kFresh);
-    for (std::size_t s = 0; s < kSteps; ++s) {
-      const std::vector<std::size_t> ops =
-          s % 3 == 0 ? space_.random_architecture(path_rng).ops()
-                     : recurring[path_rng.uniform_index(recurring.size())];
-      const nn::Dataset batch = train_batches.next();
-      const double loss = trainer.step(batch, ops);
+  }
 
-      ref_sgd.zero_grad();
-      const nn::VarPtr ref_loss = nn::ops::softmax_cross_entropy(
-          reference.forward_single_path(batch.features, ops), batch.labels);
-      nn::backward(ref_loss);
-      ref_sgd.set_lr(ref_schedule.lr_at(s));
-      ref_sgd.step();
-      ASSERT_EQ(loss, static_cast<double>(ref_loss->value.item()))
-          << "step " << s;
-
-      if (s % 10 == 9) {
-        head.alpha_step(trainer.supernet(), trainer.weight_parameters(),
-                        valid_batches.next(), 1.0, alpha_rng);
-      }
-    }
-    if (plans) EXPECT_GT((nn::plan::global_stats() - before).hits, 0u);
-
-    const SharedWTrainer::State state = trainer.export_state();
-    const nn::Sgd::State ref_state = ref_sgd.export_state();
-    ASSERT_EQ(state.weights.size(), ref_params.size());
-    for (std::size_t i = 0; i < ref_params.size(); ++i) {
-      SCOPED_TRACE("param " + std::to_string(i));
-      EXPECT_TRUE(bits_equal(state.weights[i], ref_params[i]->value));
-      EXPECT_TRUE(bits_equal(state.velocity[i], ref_state.velocity[i]));
-    }
+  const SharedWTrainer::State state = trainer.export_state();
+  const nn::Sgd::State ref_state = ref_sgd.export_state();
+  ASSERT_EQ(state.weights.size(), ref_params.size());
+  for (std::size_t i = 0; i < ref_params.size(); ++i) {
+    SCOPED_TRACE("param " + std::to_string(i));
+    EXPECT_TRUE(bits_equal(state.weights[i], ref_params[i]->value));
+    EXPECT_TRUE(bits_equal(state.velocity[i], ref_state.velocity[i]));
   }
 }
 
@@ -530,10 +523,17 @@ TEST_F(SearchTest, AlphaStepsComputeNoPredictorWeightGradients) {
   predictors::MlpTrainConfig train_config;
   train_config.epochs = 2;
   predictor.train(data, train_config);
-  for (const nn::VarPtr& p : predictor.parameters()) {
-    ASSERT_FALSE(p->requires_grad) << p->name;
-    p->zero_grad();  // the last training step's gradient
-  }
+  const auto expect_zero_grads = [](const predictors::MlpPredictor& mlp) {
+    for (const nn::VarPtr& p : mlp.parameters()) {
+      EXPECT_FALSE(p->requires_grad) << p->name;
+      for (std::size_t i = 0; i < p->grad.size(); ++i) {
+        ASSERT_TRUE(p->grad[i] == 0.0f && !std::signbit(p->grad[i]))
+            << p->name << "[" << i << "] = " << p->grad[i];
+      }
+    }
+  };
+  // train() leaves no gradient behind.
+  expect_zero_grads(predictor);
   // Loaded from a snapshot, as the CLI does: never trained here.
   predictors::MlpPredictor loaded =
       predictors::MlpPredictor::from_state(predictor.export_state());
@@ -558,15 +558,8 @@ TEST_F(SearchTest, AlphaStepsComputeNoPredictorWeightGradients) {
   EXPECT_FALSE(bits_equal(state.alpha, alpha_before));
   EXPECT_GT(state.lambdas[0], 0.0);
   EXPECT_GT(state.lambdas[1], 0.0);
-  for (const predictors::MlpPredictor* mlp : {&predictor, &loaded}) {
-    for (const nn::VarPtr& p : mlp->parameters()) {
-      EXPECT_FALSE(p->requires_grad) << p->name;
-      for (std::size_t i = 0; i < p->grad.size(); ++i) {
-        ASSERT_TRUE(p->grad[i] == 0.0f && !std::signbit(p->grad[i]))
-            << p->name << "[" << i << "] = " << p->grad[i];
-      }
-    }
-  }
+  expect_zero_grads(predictor);
+  expect_zero_grads(loaded);
 }
 
 TEST_F(SearchTest, AlphaStepRestoresTrainableWeightsWhenItThrows) {

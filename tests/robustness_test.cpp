@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../tools/cli_args.hpp"
@@ -383,6 +384,31 @@ TEST_F(ArgsTest, RejectsNonNumericAndNegativeSizes) {
                std::runtime_error);
   EXPECT_THROW((void)make({"--target", "nope"}).require_double("target"),
                std::runtime_error);
+}
+
+TEST_F(ArgsTest, RejectsFlagsTheCommandDoesNotTakeNamingTheFlag) {
+  // Global flags are accepted by every command.
+  EXPECT_NO_THROW(make({"--epochs", "5", "--threads", "2", "--isa", "scalar"})
+                      .reject_unknown("train-predictor"));
+  EXPECT_NO_THROW(make({"--tensor-pool", "0"}).reject_unknown("devices"));
+  const std::vector<std::pair<std::string, std::vector<std::string>>> bad = {
+      {"search", {"--target", "24", "--plan", "on"}},  // removed flag
+      {"search-campaign", {"--plan", "off"}},
+      {"train-predictor", {"--epoch", "5"}},  // typo of --epochs
+      {"measure", {"--target", "24"}},        // another command's flag
+  };
+  for (const auto& [command, tokens] : bad) {
+    SCOPED_TRACE(command);
+    const std::string flag = tokens[tokens.size() - 2];
+    try {
+      make(tokens).reject_unknown(command);
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(flag + " "), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(make({}).reject_unknown("plan"), std::runtime_error);
 }
 
 // --- non-finite JSON round-trip ------------------------------------------

@@ -89,35 +89,6 @@ def check_roofline_kernels(section, where, errors):
 # Gate values: True means "boolean key that must be true".
 # A set of strings means "string key whose value must be in the set".
 SCHEMAS = {
-    ("BENCH_plan.json", "plan_compile"): {
-        "keys": {
-            "bench": STR,
-            "smoke": BOOL,
-            "steps_per_s_dynamic": NUM,
-            "steps_per_s_planned": NUM,
-            "speedup": NUM,
-            "exec_heap_allocs": NUM,
-            "exec_pool_ops": NUM,
-            "steady_heap_allocs": NUM,
-            "steady_pool_misses": NUM,
-            "steady_pool_hits": NUM,
-            "steady_plan_hits": NUM,
-            "roundtrip_specs": NUM,
-            "plan_hits": NUM,
-            "plan_misses": NUM,
-            "plan_compiles": NUM,
-            "plan_fused_ops": NUM,
-            "plan_arena_bytes": NUM,
-        },
-        "gates": {
-            "throughput_pass": True,
-            "zero_overhead": True,
-            "search_bit_identical": True,
-            "roundtrip_bit_identical": True,
-            "roundtrip_cold_hits": True,
-            "predictor_bit_identical": True,
-        },
-    },
     ("BENCH_train.json", "throughput"): {
         "keys": {
             "bench": STR,
@@ -127,12 +98,6 @@ SCHEMAS = {
             "hw_threads": NUM,
             "search_s_serial": NUM,
             "search_s_4_threads": NUM,
-            "search_s_planned": NUM,
-            "plan_hits": NUM,
-            "plan_misses": NUM,
-            "plan_compiles": NUM,
-            "plan_fused_ops": NUM,
-            "plan_arena_bytes": NUM,
             "pool_hit_rate": NUM,
             "pool_misses": NUM,
             "pool_steady_misses": NUM,

@@ -1,11 +1,45 @@
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lightnas::cli {
+
+/// Flags every command of the lightnas tool accepts.
+inline const std::vector<std::string> kGlobalFlags = {"threads", "gemm-block",
+                                                      "isa", "tensor-pool"};
+
+/// The flags each command reads besides kGlobalFlags; a command missing
+/// here is unknown.
+inline const std::map<std::string, std::vector<std::string>> kCommandFlags = {
+    {"devices", {}},
+    {"measure",
+     {"device", "batch", "seed", "metric", "samples", "robust",
+      "fault-outliers", "fault-transients", "fault-hangs", "fault-drift",
+      "out"}},
+    {"train-predictor",
+     {"dataset", "seed", "unit", "epochs", "batch", "log-every", "out"}},
+    {"eval-predictor", {"predictor", "dataset"}},
+    {"search",
+     {"predictor", "target", "predictor2", "target2", "task-size", "seed",
+      "epochs", "warmup", "verbose", "resume", "checkpoint-dir",
+      "checkpoint-every", "out"}},
+    {"search-campaign",
+     {"predictor", "targets", "tolerance", "patience", "preempt", "seed",
+      "epochs", "warmup", "verbose", "task-size", "resume", "checkpoint-dir",
+      "checkpoint-every", "out", "csv"}},
+    {"show", {"result", "arch", "device", "batch"}},
+    {"predict", {"predictor", "arch"}},
+    {"serve-bench",
+     {"predictor", "device", "seed", "samples", "epochs", "pool", "zipf",
+      "clients", "requests", "workers", "batch", "queue", "cache",
+      "baseline", "deadline-ms", "overflow", "cache-ttl-ms", "breaker",
+      "stall-ms", "fallback", "storm-transients", "storm-hangs",
+      "storm-hang-ms", "storm-drift", "storm-outliers"}},
+};
 
 /// Minimal `--flag value` argument parser for the lightnas tool.
 /// Flags are always long-form and always take one value (booleans are
@@ -58,11 +92,24 @@ class Args {
     return it == flags_.end() ? fallback : parse_size(name, it->second);
   }
 
-  /// Flags nobody consumed are usually typos; callers can report them.
-  std::vector<std::string> flag_names() const {
-    std::vector<std::string> names;
-    for (const auto& [key, value] : flags_) names.push_back(key);
-    return names;
+  /// Throws std::runtime_error naming the first flag that `command`
+  /// does not take (see kCommandFlags): a typo'd or removed flag must
+  /// fail, not be silently ignored.
+  void reject_unknown(const std::string& command) const {
+    const auto entry = kCommandFlags.find(command);
+    if (entry == kCommandFlags.end()) {
+      throw std::runtime_error("unknown command '" + command + "'");
+    }
+    const auto lists = [](const std::vector<std::string>& names,
+                          const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    for (const auto& [key, value] : flags_) {
+      if (!lists(kGlobalFlags, key) && !lists(entry->second, key)) {
+        throw std::runtime_error("unknown flag --" + key + " for '" +
+                                 command + "' (see lightnas --help)");
+      }
+    }
   }
 
  private:

@@ -54,24 +54,6 @@ void install_parallel_context(const cli::Args& args) {
   }
 }
 
-/// Apply --plan off|on|N to `plan` — the LIGHTNAS_PLAN grammar, except
-/// that an explicit flag with a typo'd value is an error (the env
-/// silently ignores unrecognized values; a typed flag must not).
-void apply_plan_flag(const cli::Args& args, nn::plan::PlanSettings& plan) {
-  if (!args.has("plan")) return;
-  const std::string value = args.get("plan");
-  const bool keyword = value == "off" || value == "0" || value == "false" ||
-                       value == "on" || value == "1" || value == "true";
-  const bool integer =
-      !value.empty() && value.find_first_not_of("0123456789") ==
-                            std::string::npos && value != "0";
-  if (!keyword && !integer) {
-    throw std::runtime_error("flag --plan: '" + value +
-                             "' is not off|on|N");
-  }
-  plan = nn::plan::PlanSettings::from_string(value, plan);
-}
-
 /// Install the process-wide SIMD tier from --isa (default: best
 /// bit-identity-preserving tier the host supports, overridable with
 /// LIGHTNAS_ISA in the environment). scalar and avx2 are bit-identical;
@@ -224,10 +206,6 @@ int cmd_search(const cli::Args& args) {
   // Buffer/graph recycling (results are bit-identical on or off; off
   // exists for A/B allocation debugging).
   config.pool_tensors = args.get("tensor-pool", "1") != "0";
-  // Plan compiler (--plan off|on|N, same grammar as LIGHTNAS_PLAN; the
-  // flag wins over the environment). Bit-identical either way — this is
-  // a throughput knob, not a numerics knob.
-  apply_plan_flag(args, config.plan);
 
   core::SearchHooks hooks;
   core::SearchCheckpoint resume_state;
@@ -320,7 +298,6 @@ int cmd_search_campaign(const cli::Args& args) {
                                       config.search.epochs / 2));
   config.search.log_progress = args.get("verbose", "0") != "0";
   config.search.pool_tensors = args.get("tensor-pool", "1") != "0";
-  apply_plan_flag(args, config.search.plan);
 
   nn::SyntheticTaskConfig task_config;
   task_config.train_size = args.get_size("task-size", 16384);
@@ -646,11 +623,6 @@ void print_usage() {
       "                  faster but changes rounding (opt-in)\n"
       "  --tensor-pool 0|1  recycle tensor buffers / autograd graphs\n"
       "                  (default 1; results are bit-identical)\n"
-      "  --plan off|on|N  compile recycled autograd tapes into shape-\n"
-      "                  specialized execution plans (search/campaign;\n"
-      "                  N = compile after N structural hits, default 3;\n"
-      "                  default off; env LIGHTNAS_PLAN sets the same,\n"
-      "                  the flag wins; results are bit-identical)\n"
       "\n"
       "commands:\n"
       "  devices                                list device profiles\n"
@@ -698,7 +670,17 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::string command = argv[1];
+    if (command == "help" || command == "--help") {
+      print_usage();
+      return 0;
+    }
+    if (cli::kCommandFlags.count(command) == 0) {
+      std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
+      print_usage();
+      return 1;
+    }
     const cli::Args args(argc - 1, argv + 1);
+    args.reject_unknown(command);
     install_parallel_context(args);
     install_isa(args);
     if (command == "devices") return cmd_devices();
@@ -709,14 +691,7 @@ int main(int argc, char** argv) {
     if (command == "search-campaign") return cmd_search_campaign(args);
     if (command == "show") return cmd_show(args);
     if (command == "predict") return cmd_predict(args);
-    if (command == "serve-bench") return cmd_serve_bench(args);
-    if (command == "help" || command == "--help") {
-      print_usage();
-      return 0;
-    }
-    std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
-    print_usage();
-    return 1;
+    return cmd_serve_bench(args);  // the one command of kCommandFlags left
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
